@@ -23,9 +23,7 @@ from .core import (
 )
 from .divdiff import (
     SupportForm,
-    basis_matrix,
     bvec,
-    bvec_recursion_check,
     cone_coefficients,
     facet_chain_basis,
     facet_lattice_index,
@@ -42,7 +40,6 @@ from .faces import (
     facet_hyperplane,
     facets,
     is_face,
-    nonface_partitions,
     simplex_halfspaces,
     transport_to_transformed,
 )
@@ -56,8 +53,6 @@ from .kp import (
     gorenstein_theorem,
     gorenstein_witnesses,
     is_normal_kp,
-    member_kp,
-    verify_r1,
 )
 from .kq import (
     GeneratorLattice,
@@ -100,10 +95,8 @@ __all__ = [
     "SupportForm",
     "TransformedMatrix",
     "WitnessReport",
-    "basis_matrix",
     "build_params",
     "bvec",
-    "bvec_recursion_check",
     "canonical_form",
     "classify_kp",
     "classify_kq",
@@ -127,9 +120,7 @@ __all__ = [
     "is_normal_kp",
     "is_normal_kq_bruteforce",
     "kernel_binomial",
-    "member_kp",
     "moment_matrix",
-    "nonface_partitions",
     "r1_witness",
     "reverse_negate",
     "simplex_halfspaces",
@@ -137,6 +128,5 @@ __all__ = [
     "transform",
     "translate",
     "transport_to_transformed",
-    "verify_r1",
     "vertex",
 ]

@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -33,16 +34,9 @@ from .kp import (
     gorenstein_witnesses,
 )
 from .kq import RingReportKQ, classify_kq, kernel_binomial
-from .lattice import BudgetExceeded, enumerate_points, h_star
+from .lattice import BudgetExceeded, Instance, enumerate_points, h_star
 
 SCHEMA_VERSION = 1
-
-FINDING_KINDS = (
-    "theorem_oracle_discrepancy",
-    "witness_verification_failure",
-    "conjecture45_unknown_instance",
-    "conjecture48_ci_instance",
-)
 
 
 @dataclass(frozen=True)
@@ -66,12 +60,9 @@ def derive_findings(
     """Collect reportable findings from the per-ring reports of one instance."""
     canon = canonical_form(p)
     out = []
-    if kp is not None and kp.discrepancy:
-        for chunk in kp.discrepancy.split("; "):
-            kind = chunk.split(":", 1)[0]
-            if kind not in FINDING_KINDS:
-                kind = "witness_verification_failure"
-            out.append(Finding(kind, canon, chunk))
+    if kp is not None:
+        for kind, detail in kp.notes:
+            out.append(Finding(kind, canon, f"{kind}: {detail}"))
     if kq is not None:
         if kq.normal == "unknown":
             out.append(
@@ -410,93 +401,53 @@ def cmd_witness_gorenstein(args) -> int:
     return 0
 
 
-def cmd_facets(args) -> int:
-    p = _params(args)
+def _show_facets(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     sets = facets(p)
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "d": p.d,
-            "n": p.n,
-            "facets": [list(w) for w in sets],
-        }
-        if args.normals:
-            payload["normals"] = [list(facet_hyperplane(w, p).normal) for w in sets]
-        print(json.dumps(payload))
-        return 0
-    for w in sets:
-        if args.normals:
-            h = facet_hyperplane(w, p)
-            print(f"{','.join(map(str, w))}  normal={h.normal}")
-        else:
-            print(",".join(map(str, w)))
-    return 0
+    payload = {"d": p.d, "n": p.n, "facets": [list(w) for w in sets]}
+    if not args.normals:
+        return payload, [",".join(map(str, w)) for w in sets]
+    normals = Instance(p).normals
+    payload["normals"] = [list(a) for a in normals]
+    return payload, [f"{','.join(map(str, w))}  normal={a}" for w, a in zip(sets, normals)]
 
 
-def cmd_bvec(args) -> int:
-    p = _params(args)
+def _show_bvec(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     s = _parse_index_list(args.set)
     v = bvec(s, p)
-    if args.json:
-        print(
-            json.dumps(
-                {"schema": SCHEMA_VERSION, "set": sorted(set(s)), "vector": list(v)}
-            )
-        )
-    else:
-        print(" ".join(map(str, v)))
-    return 0
+    return {"set": sorted(set(s)), "vector": list(v)}, [" ".join(map(str, v))]
 
 
-def cmd_kernel(args) -> int:
-    p = _params(args)
+def _show_kernel(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     kb = kernel_binomial(p)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA_VERSION, **kb.to_dict()}))
-    else:
-        u, v = kb.monomials()
-        print(f"c = {list(kb.c)}")
-        print(f"binomial: {u} - {v}   degree {kb.degree}")
-        print(f"u_squarefree={kb.u_squarefree} v_squarefree={kb.v_squarefree}")
-    return 0
+    u, v = kb.monomials()
+    return kb.to_dict(), [
+        f"c = {list(kb.c)}",
+        f"binomial: {u} - {v}   degree {kb.degree}",
+        f"u_squarefree={kb.u_squarefree} v_squarefree={kb.v_squarefree}",
+    ]
 
 
-def cmd_hstar(args) -> int:
-    p = _params(args)
+def _show_hstar(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     h = h_star(p, budget=args.budget)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "h_star": list(h.h),
-                    "normalized_volume": h.normalized_volume,
-                    "palindromic": h.is_palindromic(),
-                }
-            )
-        )
-    else:
-        print(
-            f"h* = {list(h.h)}  volume={h.normalized_volume} "
-            f"palindromic={str(h.is_palindromic()).lower()}"
-        )
-    return 0
+    vol, pal = h.normalized_volume, h.is_palindromic()
+    payload = {"h_star": list(h.h), "normalized_volume": vol, "palindromic": pal}
+    return payload, [f"h* = {list(h.h)}  volume={vol} palindromic={str(pal).lower()}"]
 
 
-def cmd_points(args) -> int:
-    p = _params(args)
-    pts = enumerate_points(
-        p, args.k, args.interior, frame=args.frame, budget=args.budget
-    )
+def _show_points(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
+    pts = enumerate_points(p, args.k, args.interior, frame=args.frame, budget=args.budget)
+    # tuples encode as JSON arrays; text lines are made only when printed
+    return {"k": args.k, "points": pts}, (" ".join(map(str, z)) for z in pts)
+
+
+def cmd_print(args) -> int:
+    """The printer commands: one JSON object with --json, else the text lines."""
+    payload, lines = args.show(_params(args), args)
     if args.json:
-        print(
-            json.dumps(
-                {"schema": SCHEMA_VERSION, "k": args.k, "points": [list(z) for z in pts]}
-            )
-        )
+        print(json.dumps({"schema": SCHEMA_VERSION, **payload}))
     else:
-        for z in pts:
-            print(" ".join(map(str, z)))
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -556,12 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_arg(wg)
     wg.set_defaults(func=cmd_witness_gorenstein)
 
-    for name, func, extra in (
-        ("facets", cmd_facets, "normals"),
-        ("bvec", cmd_bvec, "set"),
-        ("kernel", cmd_kernel, None),
-        ("hstar", cmd_hstar, "budget"),
-        ("points", cmd_points, "points"),
+    for name, show, extra in (
+        ("facets", _show_facets, "normals"),
+        ("bvec", _show_bvec, "set"),
+        ("kernel", _show_kernel, None),
+        ("hstar", _show_hstar, "budget"),
+        ("points", _show_points, "points"),
     ):
         sp = subs.add_parser(name, help=f"print {name} data")
         _add_instance_args(sp)
@@ -577,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--frame", choices=("moment", "transformed"), default="transformed")
             _add_budget_arg(sp)
         sp.add_argument("--json", action="store_true")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=cmd_print, show=show)
 
     return parser
 

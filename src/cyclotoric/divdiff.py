@@ -69,63 +69,6 @@ def bvec(s, p: CycloParams) -> tuple[int, ...]:
     return _bvec_cached(p, _check_index_set(s, p))
 
 
-def bvec_alternating(s, p: CycloParams) -> tuple[Fraction, ...]:
-    """The same vector via the alternating absolute-value form.
-
-    Kept as an independent second route: production code uses the signed
-    form only, and the two are compared in tests.
-    """
-    s = _check_index_set(s, p)
-    tau = p.tau
-    coords = [Fraction(0)] * (p.d + 1)
-    for k, i in enumerate(s):
-        ti = tau[i - 1]
-        denom = 1
-        for j in s:
-            if j != i:
-                denom *= abs(tau[j - 1] - ti)
-        sign = (-1) ** k
-        vi = vertex(p, i)
-        for t in range(p.d + 1):
-            coords[t] += sign * Fraction(vi[t], denom)
-    return tuple(coords)
-
-
-def bvec_recursion_check(s, a: int, b: int, p: CycloParams) -> bool:
-    """Exact check of the two-point contraction identity.
-
-    The vector of S equals the vector of S-minus-a scaled by 1/(t_a - t_b)
-    plus the vector of S-minus-b scaled by 1/(t_b - t_a).
-    """
-    s = _check_index_set(s, p)
-    if a == b or a not in s or b not in s:
-        raise InvalidParameters("a and b must be distinct members of S")
-    if len(s) < 2:
-        raise InvalidParameters("S must have at least two elements")
-    dba = p.tau[a - 1] - p.tau[b - 1]
-    left = bvec(s, p)
-    va = bvec(tuple(x for x in s if x != a), p)
-    vb = bvec(tuple(x for x in s if x != b), p)
-    return all(
-        Fraction(lx) == Fraction(ax, dba) + Fraction(bx, -dba)
-        for lx, ax, bx in zip(left, va, vb)
-    )
-
-
-def basis_matrix(indices, p: CycloParams) -> tuple[tuple[int, ...], ...]:
-    """Rows are the divided-difference vectors of the index prefixes.
-
-    For d+1 distinct indices in any order the rows form a basis of the
-    full integer lattice; the determinant is always +-1.
-    """
-    idx = tuple(indices)
-    if len(set(idx)) != len(idx):
-        raise InvalidParameters("indices must be distinct")
-    if len(idx) != p.d + 1:
-        raise InvalidParameters(f"expected d+1 = {p.d + 1} indices")
-    return tuple(bvec(idx[: q + 1], p) for q in range(len(idx)))
-
-
 @dataclass(frozen=True)
 class SupportForm:
     """Primitive linear form vanishing on a facet and positive on the rest of the cone.

@@ -128,10 +128,6 @@ class Hyperplane:
         v = dot(self.normal, x) - self.rhs * x[0]
         return v if self.sense == ">=" else -v
 
-    def satisfies(self, x, strict: bool = False) -> bool:
-        s = self.slack(x)
-        return s > 0 if strict else s >= 0
-
 
 def require_uniform_frame(hyperplanes, frame: str | None = None) -> str:
     frames = {h.frame for h in hyperplanes}
@@ -220,22 +216,3 @@ def transport_to_transformed(h: Hyperplane, p: CycloParams) -> Hyperplane:
     normal = tuple(sum(h.normal[s] * uinv[s][t] for s in range(k)) for t in range(k))
     return Hyperplane(normal, h.rhs, h.sense, h.facet_indices, TRANSFORMED)
 
-
-def nonface_partitions(p: CycloParams) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All splits [n] = F | G with 1 in F where neither side spans a face.
-
-    Only defined for n = d+2, where the expected outcome is the single
-    odds/evens split.
-    """
-    if p.n != p.d + 2:
-        raise InvalidParameters("partition scan expects n = d+2")
-    n = p.n
-    rest = list(range(2, n + 1))
-    out = []
-    for mask in range(1 << (n - 1)):
-        f = (1,) + tuple(x for b, x in enumerate(rest) if mask >> b & 1)
-        g = tuple(x for b, x in enumerate(rest) if not mask >> b & 1)
-        if not is_face(f, p) and not is_face(g, p):
-            out.append((f, g))
-    out.sort()
-    return out

@@ -50,10 +50,6 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
-def identity(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def det(m) -> int:
     """Determinant of a square integer matrix, by fraction-free elimination."""
     a = [list(row) for row in m]
@@ -110,40 +106,6 @@ def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
         if a[i][n]:
             return None
     return tuple(a[i][n] for i in range(n))
-
-
-def nullspace(rows) -> list[IntVec]:
-    """Primitive integer basis of the rational right-nullspace of an integer matrix."""
-    m = len(rows)
-    n = len(rows[0])
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    pivot_set = set(pivots)
-    for fc in (c for c in range(n) if c not in pivot_set):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        basis.append(primitive([int(x * den) for x in v]))
-    return basis
 
 
 def cross_normal(rows) -> IntVec:

@@ -14,52 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CycloParams, DeltaTable, reverse_negate, vertex
+from .core import CycloParams, DeltaTable, reverse_negate
 from .divdiff import (
     cone_coefficients,
     facet_lattice_index,
     r1_witness,
     support_form,
 )
-from .faces import (
-    TRANSFORMED,
-    facet_hyperplane,
-    facets,
-    require_uniform_frame,
-    simplex_halfspaces,
-)
+from .faces import TRANSFORMED, facets, require_uniform_frame, simplex_halfspaces
 from .intlinalg import solve_exact, vec_sub
-from .lattice import HStarVector, enumerate_points, h_star, interior_count
-
-
-def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
-    """Membership of z in the semigroup generated by all degree-1 lattice points.
-
-    Decided by memoized degree-descending search: subtract one generator,
-    recurse, accept only the origin at degree 0; branches leaving the cone
-    are pruned.
-    """
-    z = tuple(z)
-    gens = enumerate_points(p, 1, budget=budget)
-    hps = [facet_hyperplane(w, p) for w in facets(p)]
-    memo: dict[tuple[int, ...], bool] = {}
-
-    def in_cone(x) -> bool:
-        return all(h.slack(x) >= 0 for h in hps)
-
-    def rec(x) -> bool:
-        if x[0] == 0:
-            return not any(x)
-        if x[0] < 0 or not in_cone(x):
-            return False
-        cached = memo.get(x)
-        if cached is not None:
-            return cached
-        ok = any(rec(vec_sub(x, g)) for g in gens)
-        memo[x] = ok
-        return ok
-
-    return rec(z)
+from .lattice import HStarVector, Instance, h_star, instance, interior_count
 
 
 def is_normal_kp(
@@ -75,20 +39,12 @@ def is_normal_kp(
     generator step lands back in the cone.
     """
     bound = p.d if max_degree is None else max_degree
-    hps = [facet_hyperplane(w, p) for w in facets(p)]
-    verts = [vertex(p, i) for i in range(1, p.n + 1)]
-    vert_set = set(verts)
-    extra = [g for g in enumerate_points(p, 1, budget=budget) if g not in vert_set]
-
-    def in_cone(x) -> bool:
-        return all(h.slack(x) >= 0 for h in hps)
-
+    ctx = instance(p, budget)
+    vert_set = set(ctx.vertices)
+    gens = ctx.vertices + tuple(g for g in ctx.slice(1) if g not in vert_set)
     for k in range(2, bound + 1):
-        for z in enumerate_points(p, k, budget=budget):
-            found = any(in_cone(vec_sub(z, g)) for g in verts) or any(
-                in_cone(vec_sub(z, g)) for g in extra
-            )
-            if not found:
+        for z in ctx.slice(k):
+            if not any(ctx.in_cone(vec_sub(z, g)) for g in gens):
                 return False, z
     return True, None
 
@@ -119,10 +75,6 @@ def r1_issues(p: CycloParams) -> list[str]:
     return issues
 
 
-def verify_r1(p: CycloParams) -> bool:
-    return not r1_issues(p)
-
-
 def gorenstein_theorem(p: CycloParams) -> bool:
     """Closed-form Gorenstein predicate on the shape data (d, n, gap pair)."""
     return p.d == 2 and p.n == 3 and p.gaps in ((1, 2), (2, 1))
@@ -136,7 +88,7 @@ def interior_generator_candidate(p: CycloParams) -> tuple[int, ...] | None:
     non-integral, and in either case no integer point can have value 1
     against every facet.
     """
-    rows = [facet_hyperplane(w, p).normal for w in facets(p)]
+    rows = Instance(p).normals  # no budget here, so not the shared context
     sol = solve_exact(rows, [1] * len(rows))
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
@@ -310,9 +262,13 @@ class RingReportKP:
     seminormal: bool
     gorenstein_theorem: bool
     gorenstein_oracle: GorensteinOracle | None
-    discrepancy: str | None
+    notes: tuple[tuple[str, str], ...]  # (finding kind, detail) pairs
     h_star: HStarVector
     interior_k1: int
+
+    @property
+    def discrepancy(self) -> str | None:
+        return "; ".join(f"{kind}: {detail}" for kind, detail in self.notes) or None
 
     def to_dict(self) -> dict:
         return {
@@ -346,29 +302,35 @@ def classify_kp(
     Normality drives Cohen-Macaulay, depth-two and seminormality flags,
     which all coincide for these rings.  With oracle enabled the exact
     Gorenstein route runs alongside the closed-form predicate and any
-    mismatch (or a failed witness verification) lands in the discrepancy
-    field; discrepancies are findings, not errors.
+    mismatch (or a failed witness verification) lands in the notes as a
+    (kind, detail) pair; notes are findings, not errors.
     """
     normal, witness = is_normal_kp(p, max_degree=max_degree, budget=budget)
     issues = r1_issues(p)
     h = h_star(p, budget=budget)
     interior1 = interior_count(p, 1, budget=budget)
     predicate = gorenstein_theorem(p)
-    notes = [f"witness_verification_failure: {msg}" for msg in issues]
+    notes = [("witness_verification_failure", msg) for msg in issues]
     oracle_rec = None
     if oracle:
         oracle_rec = gorenstein_oracle(p, normal=normal, h=h, budget=budget)
         if predicate != (oracle_rec.status == "gorenstein"):
             notes.append(
-                "theorem_oracle_discrepancy: closed-form predicate says "
-                f"{predicate} but exact route says {oracle_rec.status}"
+                (
+                    "theorem_oracle_discrepancy",
+                    f"closed-form predicate says {predicate} "
+                    f"but exact route says {oracle_rec.status}",
+                )
             )
         if not predicate:
             wrep = gorenstein_witnesses(p)
             if not wrep.oracle_needed and not wrep.verified:
                 notes.append(
-                    "witness_verification_failure: constructed interior pair "
-                    f"has a nonpositive slack (subset {wrep.subset})"
+                    (
+                        "witness_verification_failure",
+                        "constructed interior pair has a nonpositive slack "
+                        f"(subset {wrep.subset})",
+                    )
                 )
     return RingReportKP(
         normal=normal,
@@ -379,7 +341,7 @@ def classify_kp(
         seminormal=normal,
         gorenstein_theorem=predicate,
         gorenstein_oracle=oracle_rec,
-        discrepancy="; ".join(notes) if notes else None,
+        notes=tuple(notes),
         h_star=h,
         interior_k1=interior1,
     )

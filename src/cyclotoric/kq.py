@@ -16,9 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix, vertex
-from .faces import facet_hyperplane, facets
 from .intlinalg import hnf, lattice_contains, mat_vec, vec_sub
-from .lattice import BudgetExceeded, enumerate_points
+from .lattice import BudgetExceeded, instance
 
 
 @dataclass(frozen=True)
@@ -153,22 +152,6 @@ def divisibility_test(p: CycloParams) -> int | None:
     return None
 
 
-def leading_facet_heights(p: CycloParams) -> tuple[tuple[int, ...], int]:
-    """Last triangular row evaluated on the trailing vertices, with its gcd.
-
-    Diagnostic view of the support form of the facet spanned by the first
-    d vertices, normalised to the vertex lattice rather than the ambient
-    one; dividing the raw values by the gcd gives the lattice-normalised
-    form.
-    """
-    dt = DeltaTable(p)
-    vals = tuple(dt.delta_tilde(p.d, i) for i in range(p.d + 1, p.n + 1))
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-    return vals, g
-
-
 def is_normal_kq_bruteforce(
     p: CycloParams, max_degree: int | None = None, *, budget: int | None = None
 ) -> tuple[str, tuple[int, ...] | None]:
@@ -183,23 +166,18 @@ def is_normal_kq_bruteforce(
     """
     bound = p.d if max_degree is None else max_degree
     lat = generator_lattice(p)
-    verts = [vertex(p, i) for i in range(1, p.n + 1)]
-    vert_set = set(verts)
-    hps = [facet_hyperplane(w, p) for w in facets(p)]
-
-    def in_cone(x) -> bool:
-        return all(h.slack(x) >= 0 for h in hps)
-
+    ctx = instance(p, budget)
+    vert_set = set(ctx.vertices)
     try:
         for k in range(1, bound + 1):
-            for z in enumerate_points(p, k, budget=budget):
+            for z in ctx.slice(k):
                 if not lat.contains(z):
                     continue
                 if k == 1:
                     if z not in vert_set:
                         return "not_normal", z
                     continue
-                if not any(in_cone(vec_sub(z, v)) for v in verts):
+                if not any(ctx.in_cone(vec_sub(z, v)) for v in ctx.vertices):
                     return "not_normal", z
     except BudgetExceeded:
         return "inconclusive", None
@@ -240,7 +218,8 @@ def classify_kq(
     survives is reported unknown rather than guessed.
     """
     ci = p.n == p.d + 2
-    kern = kernel_binomial(p).c if ci else None
+    kb = kernel_binomial(p) if ci else None
+    kern = kb.c if kb else None
     if p.n == p.d + 1:
         return RingReportKQ("simplex_regular", "yes", ci, {"kind": "regularity"}, kern)
     if p.d == 1:
@@ -253,7 +232,6 @@ def classify_kq(
             kern,
         )
     if ci:
-        kb = kernel_binomial(p)
         return RingReportKQ(
             "principal_d2",
             "no",

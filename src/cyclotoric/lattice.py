@@ -11,24 +11,34 @@ A budget caps the bounding-box volume: instances that would grind fail
 fast with BudgetExceeded instead.  The default is 10**8 candidates and
 can be overridden per call or through the CYCLOTORIC_BUDGET environment
 variable.
+
+Every stage reads one `Instance` context: facet normals, vertices, the
+cone-membership test and a memo of the degree slices.  `instance` keeps
+the latest one, keyed on the parameters and the resolved budget, so a
+slice is never handed to a call whose budget refuses its box.  Code
+with no budget of its own (`enumerate_points`, the Gorenstein candidate
+solve) reads geometry from a fresh `Instance(p)` instead: a lookup under
+another budget would evict the context a classification is using.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import comb
 
 from .core import CycloParams, InvalidParameters, inverse_transform_factor, transform, vertex
 from .faces import (
     MOMENT,
     TRANSFORMED,
+    Hyperplane,
     facet_hyperplane,
     facets,
     require_uniform_frame,
     transport_to_transformed,
 )
-from .intlinalg import mat_vec
+from .intlinalg import dot, mat_vec
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "CYCLOTORIC_BUDGET"
@@ -42,23 +52,71 @@ def resolve_budget(budget: int | None = None) -> int:
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidParameters(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def cone_halfspaces(p: CycloParams, frame: str = MOMENT) -> list:
-    hps = [facet_hyperplane(w, p) for w in facets(p)]
+@dataclass(frozen=True)
+class Instance:
+    """Geometry built on first use, and slices memoised under one budget."""
+
+    p: CycloParams
+    budget: int | None = None
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def hyperplanes(self) -> tuple[Hyperplane, ...]:
+        """Facet hyperplanes in the moment frame, in facet order."""
+        return tuple(facet_hyperplane(w, self.p) for w in facets(self.p))
+
+    @cached_property
+    def normals(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(h.normal for h in self.hyperplanes)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(vertex(self.p, i) for i in range(1, self.p.n + 1))
+
+    def in_cone(self, x) -> bool:
+        """Cone membership: facet hyperplanes pass through the apex (rhs 0, >=)."""
+        return all(dot(a, x) >= 0 for a in self.normals)
+
+    def slice(self, k: int, interior_only: bool = False) -> list[tuple[int, ...]]:
+        """The degree-k slice, enumerated once; callers must not mutate it."""
+        key = (k, interior_only)
+        if key not in self._slices:
+            self._slices[key] = enumerate_points(self.p, k, interior_only, budget=self.budget)
+        return self._slices[key]
+
+
+def instance(p: CycloParams, budget: int | None = None) -> Instance:
+    """The shared context of p under the resolved budget."""
+    return _instance(p, resolve_budget(budget))
+
+
+@lru_cache(maxsize=1)
+def _instance(p: CycloParams, budget: int) -> Instance:
+    return Instance(p, budget)
+
+
+def cone_halfspaces(ctx: Instance, frame: str = MOMENT) -> list:
+    hps = list(ctx.hyperplanes)
     if frame == TRANSFORMED:
-        hps = [transport_to_transformed(h, p) for h in hps]
+        hps = [transport_to_transformed(h, ctx.p) for h in hps]
     elif frame != MOMENT:
         raise ValueError(f"unknown frame {frame!r}")
     return hps
 
 
-def _vertex_columns(p: CycloParams, frame: str) -> list[tuple[int, ...]]:
+def _vertex_columns(ctx: Instance, frame: str) -> list[tuple[int, ...]]:
     if frame == MOMENT:
-        return [vertex(p, i) for i in range(1, p.n + 1)]
-    tm = transform(p)
-    return [tm.column(i) for i in range(1, p.n + 1)]
+        return list(ctx.vertices)
+    tm = transform(ctx.p)
+    return [tm.column(i) for i in range(1, ctx.p.n + 1)]
 
 
 def _scan_box(k, lows, highs, normals, eps):
@@ -127,7 +185,8 @@ def enumerate_points(
     """
     if k < 0:
         raise InvalidParameters("dilation degree must be nonnegative")
-    cols = _vertex_columns(p, frame)
+    ctx = Instance(p)  # geometry only: the primitive never touches the shared context
+    cols = _vertex_columns(ctx, frame)
     d = p.d
     lows = [k * min(c[t] for c in cols) for t in range(1, d + 1)]
     highs = [k * max(c[t] for c in cols) for t in range(1, d + 1)]
@@ -137,7 +196,7 @@ def enumerate_points(
     cap = resolve_budget(budget)
     if volume > cap:
         raise BudgetExceeded(f"bounding box holds {volume} candidates (budget {cap})")
-    hps = cone_halfspaces(p, frame)
+    hps = cone_halfspaces(ctx, frame)
     require_uniform_frame(hps, frame)
     normals = [h.normal for h in hps]
     pts = _scan_box(k, lows, highs, normals, 1 if interior_only else 0)
@@ -151,11 +210,12 @@ def ehrhart_counts(p: CycloParams, k_max: int, *, budget: int | None = None) -> 
     """Lattice-point counts of the dilations 0..k_max."""
     if k_max < 0:
         raise InvalidParameters("k_max must be nonnegative")
-    return [len(enumerate_points(p, k, budget=budget)) for k in range(k_max + 1)]
+    ctx = instance(p, budget)
+    return [len(ctx.slice(k)) for k in range(k_max + 1)]
 
 
 def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:
-    return len(enumerate_points(p, k, True, budget=budget))
+    return len(instance(p, budget).slice(k, True))
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,8 @@ from itertools import combinations, product
 from math import comb
 
 from cyclotoric.core import build_params, moment_matrix
-from cyclotoric.divdiff import (
-    basis_matrix,
-    bvec,
-    bvec_recursion_check,
-    facet_lattice_index,
-    r1_witness,
-    support_form,
-)
-from cyclotoric.faces import facet_hyperplane, facets, nonface_partitions
+from cyclotoric.divdiff import bvec, facet_lattice_index, r1_witness, support_form
+from cyclotoric.faces import facet_hyperplane, facets
 from cyclotoric.intlinalg import det, mat_vec
 from cyclotoric.kp import (
     classify_kp,
@@ -36,7 +29,13 @@ from cyclotoric.kp import (
 from cyclotoric.kq import divisibility_test, is_normal_kq_bruteforce, kernel_binomial
 from cyclotoric.lattice import enumerate_points
 
-from _oracles import brute_facets, gap_family
+from _oracles import (
+    basis_matrix,
+    brute_facets,
+    bvec_recursion_check,
+    gap_family,
+    nonface_partitions,
+)
 
 
 @contextmanager

@@ -283,3 +283,20 @@ def test_env_budget_override():
     env["CYCLOTORIC_BUDGET"] = "5"
     res = run_cli("classify", "--d", "2", "--tau", "0,1,3", "--ring", "kp", env=env)
     assert res.returncode == 3
+
+
+def test_env_budget_malformed_is_a_usage_error():
+    import os
+
+    env = dict(os.environ)
+    env["CYCLOTORIC_BUDGET"] = "abc"
+    direct = run_cli("hstar", "--d", "2", "--tau", "0,1,2", env=env)
+    # the same error raised inside a scan worker process
+    scanned = run_cli(
+        "scan", "--d", "2..2", "--n", "3..3", "--max-gap", "2", "--ring", "kp",
+        "--threads", "2", env=env,
+    )
+    for res in (direct, scanned):
+        assert res.returncode == 2
+        assert "CYCLOTORIC_BUDGET" in res.stderr
+        assert "Traceback" not in res.stderr

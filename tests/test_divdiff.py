@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from cyclotoric.core import InvalidParameters, build_params, vertex
 from cyclotoric.divdiff import (
-    basis_matrix,
     bvec,
-    bvec_alternating,
-    bvec_recursion_check,
     cone_coefficients,
     facet_chain_basis,
     facet_lattice_index,
@@ -22,6 +19,7 @@ from cyclotoric.divdiff import (
 from cyclotoric.faces import NotAFacet, facet_hyperplane, facets
 from cyclotoric.intlinalg import det
 
+from _oracles import basis_matrix, bvec_alternating, bvec_recursion_check
 from _strategies import cyclo_params, params_with_subset
 
 

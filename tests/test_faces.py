@@ -17,14 +17,13 @@ from cyclotoric.faces import (
     facet_hyperplane,
     facets,
     is_face,
-    nonface_partitions,
     require_uniform_frame,
     simplex_halfspaces,
     transport_to_transformed,
 )
 from cyclotoric.intlinalg import dot, vector_gcd
 
-from _oracles import brute_facets, brute_is_face
+from _oracles import brute_facets, brute_is_face, nonface_partitions
 from _strategies import cyclo_params
 
 

@@ -15,7 +15,6 @@ from cyclotoric.intlinalg import (
     hyperplane_lattice_index,
     lattice_contains,
     mat_mul,
-    nullspace,
     primitive,
     solve_dot_one,
     solve_exact,
@@ -23,6 +22,8 @@ from cyclotoric.intlinalg import (
     vector_gcd,
     xgcd,
 )
+
+from _oracles import nullspace
 
 small_int = st.integers(-30, 30)
 

@@ -14,12 +14,11 @@ from cyclotoric.kp import (
     gorenstein_witnesses,
     interior_generator_candidate,
     is_normal_kp,
-    member_kp,
     r1_issues,
-    verify_r1,
 )
 from cyclotoric.lattice import enumerate_points, h_star
 
+from _oracles import member_kp, verify_r1
 from _strategies import cyclo_params
 
 

@@ -1,7 +1,11 @@
 """Exact enumeration, dilation counts, and the generating-series numerator."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
+
+import cyclotoric.lattice as lattice_mod
 
 from cyclotoric.core import InvalidParameters, build_params
 from cyclotoric.lattice import (
@@ -185,3 +189,49 @@ class TestBudget:
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "5")
         assert resolve_budget(1000) == 1000
+
+    def test_malformed_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
+        with pytest.raises(InvalidParameters, match=BUDGET_ENV_VAR):
+            resolve_budget()
+
+
+class TestInstance:
+    def test_each_slice_enumerated_once(self, monkeypatch):
+        import cyclotoric.kp as kp_mod
+        import cyclotoric.kq as kq_mod
+
+        calls = Counter()
+        original = lattice_mod.enumerate_points
+
+        def counting(p, k, interior_only=False, **kw):
+            calls[(k, interior_only)] += 1
+            return original(p, k, interior_only, **kw)
+
+        # also where a stage might hold its own reference to the primitive
+        for mod in (lattice_mod, kp_mod, kq_mod):
+            monkeypatch.setattr(mod, "enumerate_points", counting, raising=False)
+        lattice_mod._instance.cache_clear()
+        p = build_params(2, [0, 1, 2, 4, 6])
+        assert p.n >= p.d + 3 and kq_mod.divisibility_test(p) is None
+        budget = 10**6  # not the default, so a lookup without it would evict the context
+        kp_mod.classify_kp(p, oracle=True, budget=budget)
+        assert calls[(1, False)] == 1 and max(calls.values()) == 1
+        report = kq_mod.classify_kq(p, use_bruteforce=True, budget=budget)
+        assert report.evidence["kind"] == "bruteforce_witness"
+        assert calls[(1, False)] == 1 and max(calls.values()) == 1
+
+    def test_memo_never_outlives_its_budget(self):
+        p = build_params(2, [0, 1, 3])
+        assert h_star(p, budget=100).h == (1, 4, 1)
+        assert interior_count(p, 1, budget=100) == 1
+        with pytest.raises(BudgetExceeded):
+            h_star(p, budget=5)
+        with pytest.raises(BudgetExceeded):
+            interior_count(p, 1, budget=5)
+
+    def test_in_cone_matches_facet_slacks(self):
+        p = build_params(3, [0, 1, 3, 4, 7])
+        ctx = lattice_mod.instance(p)
+        for z in ctx.slice(2) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
+            assert ctx.in_cone(z) == all(h.slack(z) >= 0 for h in ctx.hyperplanes)
