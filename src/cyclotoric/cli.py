@@ -34,7 +34,7 @@ from .kp import (
     gorenstein_witnesses,
 )
 from .kq import RingReportKQ, classify_kq, kernel_binomial
-from .lattice import BudgetExceeded, Instance, enumerate_points, h_star
+from .lattice import BudgetExceeded, Instance, enumerate_points, h_star, resolve_budget
 
 SCHEMA_VERSION = 1
 
@@ -537,6 +537,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        resolve_budget()  # a malformed CYCLOTORIC_BUDGET is a usage error for every command
         return args.func(args)
     except (InvalidParameters, NotAFacet, NoWitnessExpected) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,10 +66,6 @@ class MomentMatrix:
 
     entries: tuple[tuple[int, ...], ...]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0])
-
     def column(self, i: int) -> tuple[int, ...]:
         return tuple(row[i - 1] for row in self.entries)
 

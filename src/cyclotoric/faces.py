@@ -42,9 +42,6 @@ class SubsetDecomposition:
     blocks: tuple[tuple[int, ...], ...]
     y2: tuple[int, ...]
 
-    def reassemble(self) -> tuple[int, ...]:
-        return self.y1 + tuple(x for b in self.blocks for x in b) + self.y2
-
 
 @dataclass(frozen=True)
 class FaceType:
@@ -120,9 +117,6 @@ class Hyperplane:
     sense: str  # ">=" or "<="
     facet_indices: tuple[int, ...] | None
     frame: str  # MOMENT or TRANSFORMED
-
-    def value(self, x) -> int:
-        return dot(self.normal, x)
 
     def slack(self, x) -> int:
         v = dot(self.normal, x) - self.rhs * x[0]

@@ -26,27 +26,45 @@ from .intlinalg import solve_exact, vec_sub
 from .lattice import HStarVector, Instance, h_star, instance, interior_count
 
 
+def first_gap(ctx: Instance, gens, bound: int, keep=None) -> tuple[int, ...] | None:
+    """First kept point, in (degree, lex) order up to `bound`, that `gens` miss; or None.
+
+    At degree 1 a kept point must be a generator; at degree k >= 2 one
+    generator step must lead down to a kept point of degree k-1, all of
+    which are members by then.  `keep` (None keeps every point) is applied
+    point by point, so the scan stops at the first gap.
+    """
+    below = set(gens)
+    for k in range(1, bound + 1):
+        kept = set()
+        for z in ctx.slice(k):
+            if keep is not None and not keep(z):
+                continue
+            if not (z in below if k == 1 else any(vec_sub(z, g) in below for g in gens)):
+                return z
+            if k < bound:  # no set for the last degree: nothing looks it up
+                kept.add(z)
+        below = kept
+    return None
+
+
 def is_normal_kp(
     p: CycloParams, max_degree: int | None = None, *, budget: int | None = None
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Exhaustive normality check; returns (flag, first failing point or None).
 
-    Degrees 2..max_degree are scanned in (degree, lex) order.  The default
+    Degrees 1..max_degree are scanned by `first_gap`.  The default
     bound d is exhaustive: any cone lattice point of degree above d has a
     vertex coefficient >= 1 in some conic combination, so peeling whole
-    vertices reduces every membership question to degree <= d.  Because
-    degrees are verified in order, a degree-k point is a member iff one
-    generator step lands back in the cone.
+    vertices reduces every membership question to degree <= d.  Vertices
+    lead the generators: in slice order a step down takes 10-50x the lookups.
     """
     bound = p.d if max_degree is None else max_degree
     ctx = instance(p, budget)
     vert_set = set(ctx.vertices)
     gens = ctx.vertices + tuple(g for g in ctx.slice(1) if g not in vert_set)
-    for k in range(2, bound + 1):
-        for z in ctx.slice(k):
-            if not any(ctx.in_cone(vec_sub(z, g)) for g in gens):
-                return False, z
-    return True, None
+    witness = first_gap(ctx, gens, bound)
+    return witness is None, witness
 
 
 def r1_issues(p: CycloParams) -> list[str]:
@@ -114,7 +132,6 @@ def gorenstein_oracle(
     normal: bool | None = None,
     h: HStarVector | None = None,
     *,
-    max_degree: int | None = None,
     budget: int | None = None,
 ) -> GorensteinOracle:
     """Exact Gorenstein decision through the facet support forms.
@@ -129,7 +146,7 @@ def gorenstein_oracle(
     if cand is None:
         return GorensteinOracle("not_gorenstein", None, pal)
     if normal is None:
-        normal, _ = is_normal_kp(p, max_degree=max_degree, budget=budget)
+        normal, _ = is_normal_kp(p, budget=budget)
     if not normal:
         return GorensteinOracle("not_gorenstein", None, pal)
     return GorensteinOracle("gorenstein", cand, pal)

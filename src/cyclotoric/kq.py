@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix, vertex
-from .intlinalg import hnf, lattice_contains, mat_vec, vec_sub
+from .intlinalg import hnf, lattice_contains, mat_vec
+from .kp import first_gap
 from .lattice import BudgetExceeded, instance
 
 
@@ -160,28 +161,17 @@ def is_normal_kq_bruteforce(
     Returns ("normal" | "not_normal" | "inconclusive", witness).  Degrees
     above d are redundant by the usual vertex-peeling argument, so the
     default bound is exhaustive; hitting the enumeration budget downgrades
-    the verdict to inconclusive, never to a wrong answer.  Degrees are
-    verified in order, so at degree k one vertex subtraction landing in
-    the cone certifies membership.
+    the verdict to inconclusive, never to a wrong answer.  `first_gap`
+    scans degrees 1..max_degree, keeping only points of the vertex lattice.
     """
     bound = p.d if max_degree is None else max_degree
     lat = generator_lattice(p)
     ctx = instance(p, budget)
-    vert_set = set(ctx.vertices)
     try:
-        for k in range(1, bound + 1):
-            for z in ctx.slice(k):
-                if not lat.contains(z):
-                    continue
-                if k == 1:
-                    if z not in vert_set:
-                        return "not_normal", z
-                    continue
-                if not any(ctx.in_cone(vec_sub(z, v)) for v in ctx.vertices):
-                    return "not_normal", z
+        witness = first_gap(ctx, ctx.vertices, bound, lat.contains)
     except BudgetExceeded:
         return "inconclusive", None
-    return "normal", None
+    return ("normal", None) if witness is None else ("not_normal", witness)
 
 
 @dataclass(frozen=True)

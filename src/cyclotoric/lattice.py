@@ -12,8 +12,8 @@ fast with BudgetExceeded instead.  The default is 10**8 candidates and
 can be overridden per call or through the CYCLOTORIC_BUDGET environment
 variable.
 
-Every stage reads one `Instance` context: facet normals, vertices, the
-cone-membership test and a memo of the degree slices.  `instance` keeps
+Every stage reads one `Instance` context: facet normals, vertices and a
+memo that enumerates each degree slice once.  `instance` keeps
 the latest one, keyed on the parameters and the resolved budget, so a
 slice is never handed to a call whose budget refuses its box.  Code
 with no budget of its own (`enumerate_points`, the Gorenstein candidate
@@ -38,7 +38,7 @@ from .faces import (
     require_uniform_frame,
     transport_to_transformed,
 )
-from .intlinalg import dot, mat_vec
+from .intlinalg import mat_vec
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "CYCLOTORIC_BUDGET"
@@ -80,10 +80,6 @@ class Instance:
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vertex(self.p, i) for i in range(1, self.p.n + 1))
-
-    def in_cone(self, x) -> bool:
-        """Cone membership: facet hyperplanes pass through the apex (rhs 0, >=)."""
-        return all(dot(a, x) >= 0 for a in self.normals)
 
     def slice(self, k: int, interior_only: bool = False) -> list[tuple[int, ...]]:
         """The degree-k slice, enumerated once; callers must not mutate it."""

@@ -9,8 +9,10 @@ difference product.
 Below them are helpers only the tests call, kept out of the package:
 the alternating divided-difference form, the contraction identity,
 prefix bases, the non-face partition scan, the last-row heights, a
-generic nullspace, and the memoised membership search (which reads the
-shared instance context, as is_normal_kp does).
+generic nullspace, the facet-sign cone test, the memoised membership
+search, and the two cone-probe normality scans that production's
+degree-below lookup (`kp.first_gap`) replaced.  The last three read the
+shared instance context, as production does.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from cyclotoric.divdiff import _check_index_set, bvec
 from cyclotoric.faces import is_face
 from cyclotoric.intlinalg import dot, primitive, vec_sub
 from cyclotoric.kp import r1_issues
-from cyclotoric.lattice import instance
+from cyclotoric.kq import generator_lattice
+from cyclotoric.lattice import BudgetExceeded, Instance, instance
 
 
 def brute_facets(p: CycloParams) -> tuple[tuple[int, ...], ...]:
@@ -225,6 +228,11 @@ def leading_facet_heights(p: CycloParams) -> tuple[tuple[int, ...], int]:
     return vals, g
 
 
+def in_cone(ctx: Instance, x) -> bool:
+    """Cone membership: facet hyperplanes pass through the apex (rhs 0, >=)."""
+    return all(dot(a, x) >= 0 for a in ctx.normals)
+
+
 def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
     """Membership of z in the semigroup generated by all degree-1 lattice points.
 
@@ -240,7 +248,7 @@ def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
     def rec(x) -> bool:
         if x[0] == 0:
             return not any(x)
-        if x[0] < 0 or not ctx.in_cone(x):
+        if x[0] < 0 or not in_cone(ctx, x):
             return False
         cached = memo.get(x)
         if cached is not None:
@@ -250,6 +258,61 @@ def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
         return ok
 
     return rec(z)
+
+
+def cone_probe_normal_kp(
+    p: CycloParams, max_degree: int | None = None, *, budget: int | None = None
+) -> tuple[bool, tuple[int, ...] | None]:
+    """Exhaustive normality check; returns (flag, first failing point or None).
+
+    Degrees 2..max_degree are scanned in (degree, lex) order.  The default
+    bound d is exhaustive: any cone lattice point of degree above d has a
+    vertex coefficient >= 1 in some conic combination, so peeling whole
+    vertices reduces every membership question to degree <= d.  Because
+    degrees are verified in order, a degree-k point is a member iff one
+    generator step lands back in the cone.
+    """
+    bound = p.d if max_degree is None else max_degree
+    ctx = instance(p, budget)
+    vert_set = set(ctx.vertices)
+    gens = ctx.vertices + tuple(g for g in ctx.slice(1) if g not in vert_set)
+    for k in range(2, bound + 1):
+        for z in ctx.slice(k):
+            if not any(in_cone(ctx, vec_sub(z, g)) for g in gens):
+                return False, z
+    return True, None
+
+
+def cone_probe_normal_kq(
+    p: CycloParams, max_degree: int | None = None, *, budget: int | None = None
+) -> tuple[str, tuple[int, ...] | None]:
+    """Search for a cone-and-lattice point missed by the vertex semigroup.
+
+    Returns ("normal" | "not_normal" | "inconclusive", witness).  Degrees
+    above d are redundant by the usual vertex-peeling argument, so the
+    default bound is exhaustive; hitting the enumeration budget downgrades
+    the verdict to inconclusive, never to a wrong answer.  Degrees are
+    verified in order, so at degree k one vertex subtraction landing in
+    the cone certifies membership.
+    """
+    bound = p.d if max_degree is None else max_degree
+    lat = generator_lattice(p)
+    ctx = instance(p, budget)
+    vert_set = set(ctx.vertices)
+    try:
+        for k in range(1, bound + 1):
+            for z in ctx.slice(k):
+                if not lat.contains(z):
+                    continue
+                if k == 1:
+                    if z not in vert_set:
+                        return "not_normal", z
+                    continue
+                if not any(in_cone(ctx, vec_sub(z, v)) for v in ctx.vertices):
+                    return "not_normal", z
+    except BudgetExceeded:
+        return "inconclusive", None
+    return "normal", None
 
 
 def verify_r1(p: CycloParams) -> bool:

@@ -296,7 +296,14 @@ def test_env_budget_malformed_is_a_usage_error():
         "scan", "--d", "2..2", "--n", "3..3", "--max-gap", "2", "--ring", "kp",
         "--threads", "2", env=env,
     )
-    for res in (direct, scanned):
+    # commands that never enumerate a slice
+    kq_scan = run_cli(
+        "scan", "--d", "2..2", "--n", "3..3", "--max-gap", "2", "--ring", "kq",
+        "--oracle", env=env,
+    )
+    no_slices = run_cli("facets", "--d", "2", "--tau", "0,1,3", env=env)
+    kq_classify = run_cli("classify", "--d", "2", "--tau", "0,1,3", "--ring", "kq", env=env)
+    for res in (direct, scanned, kq_scan, no_slices, kq_classify):
         assert res.returncode == 2
         assert "CYCLOTORIC_BUDGET" in res.stderr
         assert "Traceback" not in res.stderr

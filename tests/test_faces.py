@@ -61,8 +61,9 @@ class TestDecompose:
     def test_reassembly_is_identity(self, n, data):
         w = data.draw(st.sets(st.integers(1, n)))
         dec = decompose(w, n)
-        assert dec.reassemble() == tuple(sorted(w))
-        assert decompose(dec.reassemble(), n) == dec
+        flat = dec.y1 + tuple(x for b in dec.blocks for x in b) + dec.y2
+        assert flat == tuple(sorted(w))
+        assert decompose(flat, n) == dec
         for block in dec.blocks:
             assert 1 < block[0] and block[-1] < n
             assert list(block) == list(range(block[0], block[-1] + 1))

@@ -1,11 +1,13 @@
 """Normality, codimension-one regularity, and the two Gorenstein routes."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 from cyclotoric.core import build_params, reverse_negate, translate, vertex
 from cyclotoric.faces import facet_hyperplane, facets
-from cyclotoric.intlinalg import vec_add, vec_sub
+from cyclotoric.intlinalg import dot, vec_add, vec_sub
 from cyclotoric.kp import (
     NoWitnessExpected,
     classify_kp,
@@ -16,9 +18,16 @@ from cyclotoric.kp import (
     is_normal_kp,
     r1_issues,
 )
-from cyclotoric.lattice import enumerate_points, h_star
+from cyclotoric.kq import is_normal_kq_bruteforce
+from cyclotoric.lattice import BudgetExceeded, enumerate_points, h_star
 
-from _oracles import member_kp, verify_r1
+from _oracles import (
+    cone_probe_normal_kp,
+    cone_probe_normal_kq,
+    gap_family,
+    member_kp,
+    verify_r1,
+)
 from _strategies import cyclo_params
 
 
@@ -66,6 +75,33 @@ class TestIsNormal:
                 member_kp(z, p) for k in (2,) for z in enumerate_points(p, k)
             )
             assert flag == exhaustive
+
+    def test_both_rings_match_the_cone_probe_scans(self):
+        def kp_outcome(check, p, **kw):
+            try:
+                return check(p, **kw)
+            except BudgetExceeded:
+                return "budget"
+
+        curves = [  # the family of acceptance criterion 08
+            (1, (0,) + rest) for n in range(2, 6) for rest in combinations(range(1, 9), n - 1)
+        ]
+        seen = set()
+        for d, tau in list(gap_family(max_d=3, max_n=5, max_gap=2)) + curves:
+            p = build_params(d, tau)
+            for max_degree in (None, 0, 1, 2):
+                kp = is_normal_kp(p, max_degree)
+                assert kp == cone_probe_normal_kp(p, max_degree), (d, tau, max_degree)
+                kq = is_normal_kq_bruteforce(p, max_degree)
+                assert kq == cone_probe_normal_kq(p, max_degree), (d, tau, max_degree)
+                seen.update((kp[0], kq[0]))
+            kp = kp_outcome(is_normal_kp, p, budget=5)
+            assert kp == kp_outcome(cone_probe_normal_kp, p, budget=5), (d, tau)
+            kq = is_normal_kq_bruteforce(p, budget=5)
+            assert kq == cone_probe_normal_kq(p, budget=5), (d, tau)
+            seen.update((kp if kp == "budget" else kp[0], kq[0]))
+        # every K[P] in this family is normal; only K[Q] yields witnesses
+        assert seen >= {True, "budget", "normal", "not_normal", "inconclusive"}
 
 
 class TestR1:
@@ -118,7 +154,7 @@ class TestGorensteinOracle:
         rec = gorenstein_oracle(p, normal=True)
         assert rec.status == "gorenstein"
         for w in facets(p):
-            assert facet_hyperplane(w, p).value(rec.generator) == 1
+            assert dot(facet_hyperplane(w, p).normal, rec.generator) == 1
 
     def test_two_interior_points_forbid_generator(self):
         p = build_params(2, [0, 2, 4])

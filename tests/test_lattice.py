@@ -19,7 +19,7 @@ from cyclotoric.lattice import (
     resolve_budget,
 )
 
-from _oracles import polygon_pick_data, vandermonde_product
+from _oracles import in_cone, polygon_pick_data, vandermonde_product
 from _strategies import cyclo_params
 
 
@@ -234,4 +234,4 @@ class TestInstance:
         p = build_params(3, [0, 1, 3, 4, 7])
         ctx = lattice_mod.instance(p)
         for z in ctx.slice(2) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
-            assert ctx.in_cone(z) == all(h.slack(z) >= 0 for h in ctx.hyperplanes)
+            assert in_cone(ctx, z) == all(h.slack(z) >= 0 for h in ctx.hyperplanes)
