@@ -26,20 +26,21 @@ from .intlinalg import solve_exact, vec_sub
 from .lattice import HStarVector, Instance, h_star, instance, interior_count
 
 
-def first_gap(ctx: Instance, gens, bound: int, keep=None) -> tuple[int, ...] | None:
-    """First kept point, in (degree, lex) order up to `bound`, that `gens` miss; or None.
+def first_gap(
+    ctx: Instance, gens, bound: int, vertex_lattice: bool = False
+) -> tuple[int, ...] | None:
+    """First slice point, in (degree, lex) order up to `bound`, that `gens` miss; or None.
 
-    At degree 1 a kept point must be a generator; at degree k >= 2 one
-    generator step must lead down to a kept point of degree k-1, all of
-    which are members by then.  `keep` (None keeps every point) is applied
-    point by point, so the scan stops at the first gap.
+    At degree 1 a point must be a generator; at degree k >= 2 one
+    generator step must lead down to a point of degree k-1, all of which
+    are members by then.  With vertex_lattice the slices hold only the
+    points of the lattice the vertices span, and no other point is ever
+    enumerated.
     """
     below = set(gens)
     for k in range(1, bound + 1):
         kept = set()
-        for z in ctx.slice(k):
-            if keep is not None and not keep(z):
-                continue
+        for z in ctx.slice(k, vertex_lattice=vertex_lattice):
             if not (z in below if k == 1 else any(vec_sub(z, g) in below for g in gens)):
                 return z
             if k < bound:  # no set for the last degree: nothing looks it up

@@ -162,13 +162,15 @@ def is_normal_kq_bruteforce(
     above d are redundant by the usual vertex-peeling argument, so the
     default bound is exhaustive; hitting the enumeration budget downgrades
     the verdict to inconclusive, never to a wrong answer.  `first_gap`
-    scans degrees 1..max_degree, keeping only points of the vertex lattice.
+    scans degrees 1..max_degree over vertex-lattice slices, which the
+    enumeration builds by stepping each coordinate through its residue
+    class, so no point outside the lattice is visited; the budget still
+    caps the full bounding box.
     """
     bound = p.d if max_degree is None else max_degree
-    lat = generator_lattice(p)
     ctx = instance(p, budget)
     try:
-        witness = first_gap(ctx, ctx.vertices, bound, lat.contains)
+        witness = first_gap(ctx, ctx.vertices, bound, vertex_lattice=True)
     except BudgetExceeded:
         return "inconclusive", None
     return ("normal", None) if witness is None else ("not_normal", witness)

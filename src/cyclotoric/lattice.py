@@ -5,7 +5,11 @@ vertex entries are running gap products instead of raw powers, and maps
 results back through the inverse row-operation matrix; a moment-frame
 path exists for cross-checking.  Candidate ranges come from the vertex
 coordinate extrema and are narrowed per coordinate by the facet
-inequalities, so the recursion only visits feasible prefixes.
+inequalities, so the recursion only visits feasible prefixes.  A slice
+can be restricted to the lattice the vertices span: each coordinate then
+steps through its residue class modulo the Hermite pivot, so no point
+outside that lattice is visited, while the budget still caps the full
+bounding box.
 
 A budget caps the bounding-box volume: instances that would grind fail
 fast with BudgetExceeded instead.  The default is 10**8 candidates and
@@ -13,12 +17,13 @@ can be overridden per call or through the CYCLOTORIC_BUDGET environment
 variable.
 
 Every stage reads one `Instance` context: facet normals, vertices and a
-memo that enumerates each degree slice once.  `instance` keeps
-the latest one, keyed on the parameters and the resolved budget, so a
-slice is never handed to a call whose budget refuses its box.  Code
-with no budget of its own (`enumerate_points`, the Gorenstein candidate
-solve) reads geometry from a fresh `Instance(p)` instead: a lookup under
-another budget would evict the context a classification is using.
+memo that enumerates each degree slice, full or vertex-lattice, once.
+`instance` keeps the latest one, keyed on the parameters and the
+resolved budget, so a slice is never handed to a call whose budget
+refuses its box.  Code with no budget of its own (`enumerate_points`,
+the Gorenstein candidate solve) reads geometry from a fresh
+`Instance(p)` instead: a lookup under another budget would evict the
+context a classification is using.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .faces import (
     require_uniform_frame,
     transport_to_transformed,
 )
-from .intlinalg import mat_vec
+from .intlinalg import hnf, mat_vec
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "CYCLOTORIC_BUDGET"
@@ -81,11 +86,15 @@ class Instance:
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vertex(self.p, i) for i in range(1, self.p.n + 1))
 
-    def slice(self, k: int, interior_only: bool = False) -> list[tuple[int, ...]]:
+    def slice(
+        self, k: int, interior_only: bool = False, vertex_lattice: bool = False
+    ) -> list[tuple[int, ...]]:
         """The degree-k slice, enumerated once; callers must not mutate it."""
-        key = (k, interior_only)
+        key = (k, interior_only, vertex_lattice)
         if key not in self._slices:
-            self._slices[key] = enumerate_points(self.p, k, interior_only, budget=self.budget)
+            self._slices[key] = enumerate_points(
+                self.p, k, interior_only, budget=self.budget, vertex_lattice=vertex_lattice
+            )
         return self._slices[key]
 
 
@@ -115,15 +124,30 @@ def _vertex_columns(ctx: Instance, frame: str) -> list[tuple[int, ...]]:
     return [tm.column(i) for i in range(1, ctx.p.n + 1)]
 
 
-def _scan_box(k, lows, highs, normals, eps):
-    """All integer points (k, z_1..z_d) in the box with a.z >= eps for every a.
+def _scan_box(k, lows, highs, normals, eps, basis):
+    """Points (k, z_1..z_d) of the lattice `basis` in the box with a.z >= eps for all a.
 
-    Coordinates are fixed left to right; each inequality narrows the
-    current coordinate range using interval bounds on the still-free
-    coordinates, so by the last nonzero coordinate of a normal that
-    inequality is fully enforced.
+    `basis` holds the rows of a full-rank row-style Hermite form, so row t
+    has its pivot on the diagonal.  Coordinates are fixed left to right.
+    Each inequality narrows the current coordinate range using interval
+    bounds on the still-free coordinates, so by the last nonzero
+    coordinate of a normal that inequality is fully enforced.  A prefix
+    lies in the lattice exactly when each coordinate t is congruent,
+    modulo the pivot basis[t][t], to the offset the earlier lattice
+    coordinates put on column t; so coordinate t steps through that
+    residue class and never visits a point outside the lattice.  Only
+    the nonzero entries above a pivot carry an offset: with the identity
+    basis the scan does no lattice arithmetic at all.
     """
     d = len(lows)
+    pivots = [basis[t][t] for t in range(d + 1)]
+    if k % pivots[0]:
+        return []
+    # the nonzero entries above each pivot, by column; a row's lattice
+    # coordinate is stored only when a later column reads it
+    above = [[(i, basis[i][t]) for i in range(t) if basis[i][t]] for t in range(d + 1)]
+    stored = [any(basis[t][s] for s in range(t + 1, d + 1)) for t in range(d + 1)]
+    coords = [k // pivots[0]] + [0] * d  # lattice coordinates of the prefix
     items = []
     for a in normals:
         maxfut = [0] * (d + 2)
@@ -154,10 +178,16 @@ def _scan_box(k, lows, highs, normals, eps):
                 bound = cap // (-at)  # floor division
                 if bound < hi:
                     hi = bound
+        step, offset, store = pivots[t], 0, stored[t]
+        if step != 1:  # a unit pivot has nothing above it and admits every residue
+            offset = sum(coords[i] * b for i, b in above[t])
+            lo += (offset - lo) % step
         if lo > hi:
             return
-        for z in range(lo, hi + 1):
+        for z in range(lo, hi + 1, step):
             prefix[t] = z
+            if store:
+                coords[t] = (z - offset) // step
             rec(t + 1, [part + a[t] * z for (a, _), part in zip(items, partials)])
 
     rec(1, [a[0] * k for a, _ in items])
@@ -171,13 +201,18 @@ def enumerate_points(
     *,
     frame: str = TRANSFORMED,
     budget: int | None = None,
+    vertex_lattice: bool = False,
 ) -> list[tuple[int, ...]]:
     """Lattice points of the degree-k dilation slice, in moment coordinates.
 
     interior_only keeps only points with strictly positive slack on every
-    facet.  `frame` selects the coordinates enumeration works in; output
-    is always mapped back to moment coordinates and sorted
-    lexicographically, so both frames must agree point for point.
+    facet.  vertex_lattice keeps only points of the lattice the vertices
+    span, and the scan visits no others: it steps through residue classes
+    of the Hermite form of the vertex columns in the scanning frame.  The
+    budget still caps the full bounding box either way.  `frame` selects
+    the coordinates enumeration works in; output is always mapped back to
+    moment coordinates and sorted lexicographically, so both frames must
+    agree point for point.
     """
     if k < 0:
         raise InvalidParameters("dilation degree must be nonnegative")
@@ -195,7 +230,13 @@ def enumerate_points(
     hps = cone_halfspaces(ctx, frame)
     require_uniform_frame(hps, frame)
     normals = [h.normal for h in hps]
-    pts = _scan_box(k, lows, highs, normals, 1 if interior_only else 0)
+    if vertex_lattice:
+        basis = hnf(cols)
+        if len(basis) != d + 1:
+            raise ArithmeticError("vertex lattice is not full rank")
+    else:
+        basis = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
+    pts = _scan_box(k, lows, highs, normals, 1 if interior_only else 0, basis)
     if frame == TRANSFORMED:
         uinv = inverse_transform_factor(p)
         pts = [mat_vec(uinv, z) for z in pts]

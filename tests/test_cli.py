@@ -1,8 +1,16 @@
 """End-to-end command-line behaviour: output shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import traceback
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclotoric.cli import main
 
 BASE = [sys.executable, "-m", "cyclotoric"]
 
@@ -307,3 +315,78 @@ def test_env_budget_malformed_is_a_usage_error():
         assert res.returncode == 2
         assert "CYCLOTORIC_BUDGET" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+
+JUNK = st.sampled_from(["", "x", ",", "1,,2", "1.5", "-", "--json"])
+SMALL = st.integers(-1, 3)
+
+
+def _int_list(draw, lo: int, hi: int, min_size: int = 0) -> str:
+    """Mostly an increasing list, which makes a valid tau or index set; else any order."""
+    if draw(st.integers(0, 3)):
+        xs = sorted(draw(st.sets(st.integers(lo, hi), min_size=min_size,
+                                 max_size=min_size + 3)))
+    else:
+        xs = draw(st.lists(st.integers(lo, hi), max_size=7))
+    return ",".join(map(str, xs))
+
+
+@st.composite
+def cli_argv(draw):
+    """A small command line of every subcommand except `scan`, some of them mangled.
+
+    Options are written `--name=value`, so a value that starts with "-" is not
+    read as an option.
+    """
+    command = draw(st.sampled_from(
+        ["classify", "facets", "bvec", "kernel", "hstar", "points", "witness r1",
+         "witness gorenstein"]
+    ))
+    d = draw(st.integers(0, 3))
+    opts = {"d": d, "tau": _int_list(draw, -3, 6, min_size=d + 1)}
+    flags = []
+    if command in ("classify", "hstar", "points", "witness gorenstein"):
+        opts["budget"] = draw(st.integers(-1, 10**5))
+    if command == "classify":
+        opts["ring"] = draw(st.sampled_from(["kp", "kq", "both"]))
+        if draw(st.booleans()):
+            opts["max-degree"] = draw(SMALL)
+        flags += draw(st.lists(st.sampled_from(["--oracle", "--json"]), unique=True))
+    elif command == "facets":
+        flags += draw(st.lists(st.sampled_from(["--normals", "--json"]), unique=True))
+    elif command == "bvec":
+        opts["set"] = _int_list(draw, -1, 8)
+    elif command == "points":
+        opts["k"] = draw(SMALL)
+        opts["frame"] = draw(st.sampled_from(["moment", "transformed"]))
+        flags += draw(st.lists(st.sampled_from(["--interior", "--json"]), unique=True))
+    elif command == "witness r1":
+        opts["facet"] = _int_list(draw, 0, 8, min_size=d)
+        if draw(st.booleans()):
+            opts["apex"] = draw(st.integers(-1, 8))
+    if command in ("bvec", "kernel", "hstar") and draw(st.booleans()):
+        flags.append("--json")
+    argv = command.split() + [f"--{k}={v}" for k, v in opts.items()] + flags
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(argv) - 1))
+        name = argv[i].split("=", 1)[0]
+        junk = draw(JUNK)
+        argv[i] = f"{name}={junk}" if name.startswith("--") and draw(st.booleans()) else junk
+    return argv
+
+
+class TestExitCodes:
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_is_documented(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse reports usage errors this way
+                code = exc.code
+            except Exception:
+                code = traceback.format_exc()
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

@@ -116,6 +116,65 @@ class TestAgainstNaiveBoxScan:
             assert enumerate_points(p, k, interior) == naive
 
 
+class TestVertexLatticeScan:
+    """The residue-class scan must equal the full slice filtered by membership."""
+
+    @staticmethod
+    def check(p, budget=None):
+        from cyclotoric.kq import generator_lattice
+
+        lat = generator_lattice(p)
+        hps = lattice_mod.Instance(p).hyperplanes
+        for frame in ("moment", "transformed"):
+            for k in (1, 2):
+                try:
+                    full = enumerate_points(p, k, frame=frame, budget=budget)
+                except BudgetExceeded:
+                    for interior in (False, True):
+                        with pytest.raises(BudgetExceeded):
+                            enumerate_points(
+                                p, k, interior, frame=frame, budget=budget, vertex_lattice=True
+                            )
+                    continue
+                members = [z for z in full if lat.contains(z)]
+                strict = [z for z in members if all(h.slack(z) > 0 for h in hps)]
+                for interior, expected in ((False, members), (True, strict)):
+                    got = enumerate_points(
+                        p, k, interior, frame=frame, budget=budget, vertex_lattice=True
+                    )
+                    assert got == expected, (p, frame, k, interior)
+
+    @given(cyclo_params(max_d=3, max_n=6, max_gap=3))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_filtered_slice(self, p):
+        from cyclotoric.core import translate
+
+        # moment-frame boxes grow like tau^d; a small budget exercises the refusal too
+        self.check(translate(p, -p.tau[0]), budget=10**6)
+
+    def test_index_240_instance(self):
+        from cyclotoric.kq import generator_lattice
+
+        p = build_params(3, [0, 1, 3, 5, 8, 11])
+        assert generator_lattice(p).index_in_ambient == 240
+        self.check(p)
+
+    def test_d4_instance_under_the_default_budget(self):
+        # degree 2 is refused in the moment frame and scanned in the transformed one
+        self.check(build_params(4, [0, 1, 2, 4, 5, 6]))
+
+    def test_budget_refuses_the_same_box(self):
+        # the budget caps the full bounding box, not the lattice points inside it
+        p = build_params(3, [0, 1, 3, 5, 8, 11])
+        with pytest.raises(BudgetExceeded) as refused:
+            enumerate_points(p, 1, budget=1)
+        volume = int(str(refused.value).split()[3])
+        for vertex_lattice in (False, True):
+            with pytest.raises(BudgetExceeded):
+                enumerate_points(p, 1, budget=volume - 1, vertex_lattice=vertex_lattice)
+            assert enumerate_points(p, 1, budget=volume, vertex_lattice=vertex_lattice)
+
+
 class TestPickConsistency:
     @given(cyclo_params(max_d=2, max_n=6, max_gap=4, min_d=2))
     @settings(max_examples=40, deadline=None)
@@ -205,7 +264,7 @@ class TestInstance:
         original = lattice_mod.enumerate_points
 
         def counting(p, k, interior_only=False, **kw):
-            calls[(k, interior_only)] += 1
+            calls[(k, interior_only, kw.get("vertex_lattice", False))] += 1
             return original(p, k, interior_only, **kw)
 
         # also where a stage might hold its own reference to the primitive
@@ -216,10 +275,11 @@ class TestInstance:
         assert p.n >= p.d + 3 and kq_mod.divisibility_test(p) is None
         budget = 10**6  # not the default, so a lookup without it would evict the context
         kp_mod.classify_kp(p, oracle=True, budget=budget)
-        assert calls[(1, False)] == 1 and max(calls.values()) == 1
+        assert calls[(1, False, False)] == 1 and max(calls.values()) == 1
         report = kq_mod.classify_kq(p, use_bruteforce=True, budget=budget)
         assert report.evidence["kind"] == "bruteforce_witness"
-        assert calls[(1, False)] == 1 and max(calls.values()) == 1
+        assert calls[(1, False, True)] == 1 and calls[(1, False, False)] == 1
+        assert max(calls.values()) == 1
 
     def test_memo_never_outlives_its_budget(self):
         p = build_params(2, [0, 1, 3])
