@@ -22,7 +22,6 @@ from .core import (
     vertex,
 )
 from .divdiff import (
-    SupportForm,
     bvec,
     cone_coefficients,
     facet_chain_basis,
@@ -92,7 +91,6 @@ __all__ = [
     "RingReportKP",
     "RingReportKQ",
     "SubsetDecomposition",
-    "SupportForm",
     "TransformedMatrix",
     "WitnessReport",
     "build_params",

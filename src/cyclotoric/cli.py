@@ -25,7 +25,7 @@ from itertools import product
 
 from .core import CycloParams, InvalidParameters, build_params, canonical_form
 from .divdiff import bvec, cone_coefficients, facet_lattice_index, r1_witness, support_form
-from .faces import NotAFacet, facet_hyperplane, facets
+from .faces import MOMENT, NotAFacet, facet_hyperplane, facets
 from .kp import (
     NoWitnessExpected,
     RingReportKP,
@@ -34,7 +34,7 @@ from .kp import (
     gorenstein_witnesses,
 )
 from .kq import RingReportKQ, classify_kq, kernel_binomial
-from .lattice import BudgetExceeded, Instance, enumerate_points, h_star, resolve_budget
+from .lattice import BudgetExceeded, enumerate_points, h_star, instance, resolve_budget
 
 SCHEMA_VERSION = 1
 
@@ -363,7 +363,7 @@ def cmd_witness_r1(args) -> int:
         if k in facet:
             raise InvalidParameters("apex must lie outside the facet")
         x = r1_witness(facet, k, p)
-        value = sf.value_on(x)
+        value = sf.slack(x)
         coeffs = cone_coefficients(x, sorted(facet + (k,)), p)
         in_cone = all(c >= 0 for c in coeffs)
         ok = value == 1 and in_cone
@@ -406,7 +406,7 @@ def _show_facets(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     payload = {"d": p.d, "n": p.n, "facets": [list(w) for w in sets]}
     if not args.normals:
         return payload, [",".join(map(str, w)) for w in sets]
-    normals = Instance(p).normals
+    normals = instance(p).frame(MOMENT).normals
     payload["normals"] = [list(a) for a in normals]
     return payload, [f"{','.join(map(str, w))}  normal={a}" for w, a in zip(sets, normals)]
 

@@ -15,14 +15,12 @@ facet is exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .core import CycloParams, InvalidParameters, vertex
-from .faces import facet_hyperplane
+from .faces import Hyperplane, facet_hyperplane
 from .intlinalg import (
-    dot,
     hyperplane_lattice_index,
     solve_exact,
     vec_add,
@@ -69,24 +67,14 @@ def bvec(s, p: CycloParams) -> tuple[int, ...]:
     return _bvec_cached(p, _check_index_set(s, p))
 
 
-@dataclass(frozen=True)
-class SupportForm:
+def support_form(w, p: CycloParams) -> Hyperplane:
     """Primitive linear form vanishing on a facet and positive on the rest of the cone.
 
+    It is the facet hyperplane, whose slack is the form's value.
     Primitivity makes the form surjective onto Z over the ambient integer
     lattice, so value 1 is attainable in principle.
     """
-
-    facet_indices: tuple[int, ...]
-    normal: tuple[int, ...]
-
-    def value_on(self, x) -> int:
-        return dot(self.normal, x)
-
-
-def support_form(w, p: CycloParams) -> SupportForm:
-    h = facet_hyperplane(tuple(sorted(w)), p)
-    return SupportForm(h.facet_indices, h.normal)
+    return facet_hyperplane(w, p)
 
 
 def facet_chain_basis(w, p: CycloParams) -> list[tuple[int, ...]]:

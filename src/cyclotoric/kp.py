@@ -21,13 +21,13 @@ from .divdiff import (
     r1_witness,
     support_form,
 )
-from .faces import TRANSFORMED, facets, require_uniform_frame, simplex_halfspaces
+from .faces import MOMENT, TRANSFORMED, facets, require_uniform_frame, simplex_halfspaces
 from .intlinalg import solve_exact, vec_sub
-from .lattice import HStarVector, Instance, h_star, instance, interior_count
+from .lattice import HStarVector, Instance, h_star, instance
 
 
 def first_gap(
-    ctx: Instance, gens, bound: int, vertex_lattice: bool = False
+    ctx: Instance, gens, bound: int, vertex_lattice: bool = False, budget: int | None = None
 ) -> tuple[int, ...] | None:
     """First slice point, in (degree, lex) order up to `bound`, that `gens` miss; or None.
 
@@ -35,12 +35,12 @@ def first_gap(
     generator step must lead down to a point of degree k-1, all of which
     are members by then.  With vertex_lattice the slices hold only the
     points of the lattice the vertices span, and no other point is ever
-    enumerated.
+    enumerated.  Each slice is requested under `budget`.
     """
     below = set(gens)
     for k in range(1, bound + 1):
         kept = set()
-        for z in ctx.slice(k, vertex_lattice=vertex_lattice):
+        for z in ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget):
             if not (z in below if k == 1 else any(vec_sub(z, g) in below for g in gens)):
                 return z
             if k < bound:  # no set for the last degree: nothing looks it up
@@ -61,10 +61,10 @@ def is_normal_kp(
     lead the generators: in slice order a step down takes 10-50x the lookups.
     """
     bound = p.d if max_degree is None else max_degree
-    ctx = instance(p, budget)
+    ctx = instance(p)
     vert_set = set(ctx.vertices)
-    gens = ctx.vertices + tuple(g for g in ctx.slice(1) if g not in vert_set)
-    witness = first_gap(ctx, gens, bound)
+    gens = ctx.vertices + tuple(g for g in ctx.slice(1, budget=budget) if g not in vert_set)
+    witness = first_gap(ctx, gens, bound, budget=budget)
     return witness is None, witness
 
 
@@ -85,7 +85,7 @@ def r1_issues(p: CycloParams) -> list[str]:
             if k in w:
                 continue
             x = r1_witness(w, k, p)
-            val = sf.value_on(x)
+            val = sf.slack(x)
             if val != 1:
                 issues.append(f"facet {w} apex {k}: support value {val} != 1")
             coeffs = cone_coefficients(x, sorted(w + (k,)), p)
@@ -107,7 +107,7 @@ def interior_generator_candidate(p: CycloParams) -> tuple[int, ...] | None:
     non-integral, and in either case no integer point can have value 1
     against every facet.
     """
-    rows = Instance(p).normals  # no budget here, so not the shared context
+    rows = instance(p).frame(MOMENT).normals
     sol = solve_exact(rows, [1] * len(rows))
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
@@ -326,7 +326,6 @@ def classify_kp(
     normal, witness = is_normal_kp(p, max_degree=max_degree, budget=budget)
     issues = r1_issues(p)
     h = h_star(p, budget=budget)
-    interior1 = interior_count(p, 1, budget=budget)
     predicate = gorenstein_theorem(p)
     notes = [("witness_verification_failure", msg) for msg in issues]
     oracle_rec = None
@@ -361,5 +360,5 @@ def classify_kp(
         gorenstein_oracle=oracle_rec,
         notes=tuple(notes),
         h_star=h,
-        interior_k1=interior1,
+        interior_k1=h.h[p.d],  # h*_d counts the interior points (Ehrhart-Macdonald)
     )

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix, vertex
-from .intlinalg import hnf, lattice_contains, mat_vec
+from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix
+from .faces import MOMENT
+from .intlinalg import lattice_contains, mat_vec
 from .kp import first_gap
 from .lattice import BudgetExceeded, instance
 
@@ -33,13 +34,8 @@ class GeneratorLattice:
 
 
 def generator_lattice(p: CycloParams) -> GeneratorLattice:
-    basis = hnf([vertex(p, i) for i in range(1, p.n + 1)])
-    if len(basis) != p.d + 1:
-        raise ArithmeticError("vertex lattice is not full rank")
-    index = 1
-    for i, row in enumerate(basis):
-        index *= row[i]
-    return GeneratorLattice(tuple(basis), index)
+    basis = instance(p).frame(MOMENT).lattice_rows
+    return GeneratorLattice(basis, prod(row[i] for i, row in enumerate(basis)))
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,9 @@ def is_normal_kq_bruteforce(
     caps the full bounding box.
     """
     bound = p.d if max_degree is None else max_degree
-    ctx = instance(p, budget)
+    ctx = instance(p)
     try:
-        witness = first_gap(ctx, ctx.vertices, bound, vertex_lattice=True)
+        witness = first_gap(ctx, ctx.vertices, bound, vertex_lattice=True, budget=budget)
     except BudgetExceeded:
         return "inconclusive", None
     return ("normal", None) if witness is None else ("not_normal", witness)

@@ -16,14 +16,12 @@ fast with BudgetExceeded instead.  The default is 10**8 candidates and
 can be overridden per call or through the CYCLOTORIC_BUDGET environment
 variable.
 
-Every stage reads one `Instance` context: facet normals, vertices and a
+Every stage reads one `Instance` context: each frame's scan data (vertex
+columns, facet normals, the Hermite rows of the vertex lattice) and a
 memo that enumerates each degree slice, full or vertex-lattice, once.
-`instance` keeps the latest one, keyed on the parameters and the
-resolved budget, so a slice is never handed to a call whose budget
-refuses its box.  Code with no budget of its own (`enumerate_points`,
-the Gorenstein candidate solve) reads geometry from a fresh
-`Instance(p)` instead: a lookup under another budget would evict the
-context a classification is using.
+`instance` keeps the latest one, keyed on the parameters alone.  The
+budget comes with each slice request, and a memo hit passes the same box
+check as a fresh enumeration.
 """
 
 from __future__ import annotations
@@ -31,13 +29,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, prod
 
 from .core import CycloParams, InvalidParameters, inverse_transform_factor, transform, vertex
 from .faces import (
     MOMENT,
     TRANSFORMED,
-    Hyperplane,
     facet_hyperplane,
     facets,
     require_uniform_frame,
@@ -66,62 +63,93 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 @dataclass(frozen=True)
-class Instance:
-    """Geometry built on first use, and slices memoised under one budget."""
+class ScanFrame:
+    """The scan data of one coordinate frame, each part built on first use.
+
+    No frame holds its context, so a context the cache drops is freed at once.
+    """
 
     p: CycloParams
-    budget: int | None = None
-    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    name: str  # MOMENT or TRANSFORMED
 
     @cached_property
-    def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        """Facet hyperplanes in the moment frame, in facet order."""
-        return tuple(facet_hyperplane(w, self.p) for w in facets(self.p))
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The vertex columns, in vertex order."""
+        if self.name == MOMENT:
+            return tuple(vertex(self.p, i) for i in range(1, self.p.n + 1))
+        tm = transform(self.p)
+        return tuple(tm.column(i) for i in range(1, self.p.n + 1))
 
     @cached_property
     def normals(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(h.normal for h in self.hyperplanes)
+        """The primitive inward facet normals, in facet order."""
+        hps = [facet_hyperplane(w, self.p) for w in facets(self.p)]
+        if self.name == TRANSFORMED:
+            hps = [transport_to_transformed(h, self.p) for h in hps]
+        require_uniform_frame(hps, self.name)
+        return tuple(h.normal for h in hps)
 
     @cached_property
+    def lattice_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Row-style Hermite form of the vertex columns: a basis of the vertex lattice."""
+        rows = hnf(self.columns)
+        if len(rows) != self.p.d + 1:
+            raise ArithmeticError("vertex lattice is not full rank")
+        return tuple(rows)
+
+    def box(self, k: int, budget: int | None = None) -> tuple[list[int], list[int]]:
+        """Coordinate ranges of the degree-k bounding box, refused past the budget."""
+        span = range(1, self.p.d + 1)
+        lows = [k * min(c[t] for c in self.columns) for t in span]
+        highs = [k * max(c[t] for c in self.columns) for t in span]
+        volume = prod(hi - lo + 1 for lo, hi in zip(lows, highs))
+        cap = resolve_budget(budget)
+        if volume > cap:
+            raise BudgetExceeded(f"bounding box holds {volume} candidates (budget {cap})")
+        return lows, highs
+
+
+@dataclass(frozen=True)
+class Instance:
+    """Per-frame scan data and a slice memo in scan order; each request brings its budget."""
+
+    p: CycloParams
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(vertex(self.p, i) for i in range(1, self.p.n + 1))
+        return self.frame(MOMENT).columns
+
+    def frame(self, name: str) -> ScanFrame:
+        if name not in self._frames:
+            if name not in (MOMENT, TRANSFORMED):
+                raise ValueError(f"unknown frame {name!r}")
+            self._frames[name] = ScanFrame(self.p, name)
+        return self._frames[name]
 
     def slice(
-        self, k: int, interior_only: bool = False, vertex_lattice: bool = False
+        self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
+        budget: int | None = None,
     ) -> list[tuple[int, ...]]:
-        """The degree-k slice, enumerated once; callers must not mutate it."""
+        """The degree-k slice in scan order, enumerated once; callers must not mutate it.
+
+        A memo hit passes the box check a fresh enumeration under `budget` makes.
+        """
         key = (k, interior_only, vertex_lattice)
-        if key not in self._slices:
+        if key in self._slices:
+            self.frame(TRANSFORMED).box(k, budget)
+        else:
             self._slices[key] = enumerate_points(
-                self.p, k, interior_only, budget=self.budget, vertex_lattice=vertex_lattice
+                self.p, k, interior_only, budget=budget, vertex_lattice=vertex_lattice
             )
         return self._slices[key]
 
 
-def instance(p: CycloParams, budget: int | None = None) -> Instance:
-    """The shared context of p under the resolved budget."""
-    return _instance(p, resolve_budget(budget))
-
-
 @lru_cache(maxsize=1)
-def _instance(p: CycloParams, budget: int) -> Instance:
-    return Instance(p, budget)
-
-
-def cone_halfspaces(ctx: Instance, frame: str = MOMENT) -> list:
-    hps = list(ctx.hyperplanes)
-    if frame == TRANSFORMED:
-        hps = [transport_to_transformed(h, ctx.p) for h in hps]
-    elif frame != MOMENT:
-        raise ValueError(f"unknown frame {frame!r}")
-    return hps
-
-
-def _vertex_columns(ctx: Instance, frame: str) -> list[tuple[int, ...]]:
-    if frame == MOMENT:
-        return list(ctx.vertices)
-    tm = transform(ctx.p)
-    return [tm.column(i) for i in range(1, ctx.p.n + 1)]
+def instance(p: CycloParams) -> Instance:
+    """The shared context of p: the latest one is kept."""
+    return Instance(p)
 
 
 def _scan_box(k, lows, highs, normals, eps, basis):
@@ -140,14 +168,12 @@ def _scan_box(k, lows, highs, normals, eps, basis):
     basis the scan does no lattice arithmetic at all.
     """
     d = len(lows)
-    pivots = [basis[t][t] for t in range(d + 1)]
-    if k % pivots[0]:
-        return []
+    pivots = [basis[t][t] for t in range(d + 1)]  # pivots[0] is 1: every vertex has x0 = 1
     # the nonzero entries above each pivot, by column; a row's lattice
     # coordinate is stored only when a later column reads it
     above = [[(i, basis[i][t]) for i in range(t) if basis[i][t]] for t in range(d + 1)]
     stored = [any(basis[t][s] for s in range(t + 1, d + 1)) for t in range(d + 1)]
-    coords = [k // pivots[0]] + [0] * d  # lattice coordinates of the prefix
+    coords = [k] + [0] * d  # lattice coordinates of the prefix
     items = []
     for a in normals:
         maxfut = [0] * (d + 2)
@@ -209,50 +235,38 @@ def enumerate_points(
     facet.  vertex_lattice keeps only points of the lattice the vertices
     span, and the scan visits no others: it steps through residue classes
     of the Hermite form of the vertex columns in the scanning frame.  The
-    budget still caps the full bounding box either way.  `frame` selects
-    the coordinates enumeration works in; output is always mapped back to
-    moment coordinates and sorted lexicographically, so both frames must
-    agree point for point.
+    budget still caps the full bounding box either way, checked before
+    any scan data is built.  `frame` selects the coordinates enumeration
+    works in; output is always mapped back to moment coordinates, and is
+    in lexicographic order with no sort: the scan fixes coordinates left
+    to right over ascending ranges, and the map back is unit
+    lower-triangular, so both frames agree point for point.
     """
     if k < 0:
         raise InvalidParameters("dilation degree must be nonnegative")
-    ctx = Instance(p)  # geometry only: the primitive never touches the shared context
-    cols = _vertex_columns(ctx, frame)
-    d = p.d
-    lows = [k * min(c[t] for c in cols) for t in range(1, d + 1)]
-    highs = [k * max(c[t] for c in cols) for t in range(1, d + 1)]
-    volume = 1
-    for lo, hi in zip(lows, highs):
-        volume *= hi - lo + 1
-    cap = resolve_budget(budget)
-    if volume > cap:
-        raise BudgetExceeded(f"bounding box holds {volume} candidates (budget {cap})")
-    hps = cone_halfspaces(ctx, frame)
-    require_uniform_frame(hps, frame)
-    normals = [h.normal for h in hps]
+    scan = instance(p).frame(frame)
+    lows, highs = scan.box(k, budget)
     if vertex_lattice:
-        basis = hnf(cols)
-        if len(basis) != d + 1:
-            raise ArithmeticError("vertex lattice is not full rank")
+        basis = scan.lattice_rows
     else:
-        basis = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
-    pts = _scan_box(k, lows, highs, normals, 1 if interior_only else 0, basis)
+        basis = [tuple(int(i == j) for j in range(p.d + 1)) for i in range(p.d + 1)]
+    pts = _scan_box(k, lows, highs, scan.normals, 1 if interior_only else 0, basis)
     if frame == TRANSFORMED:
         uinv = inverse_transform_factor(p)
         pts = [mat_vec(uinv, z) for z in pts]
-    return sorted(pts)
+    return pts
 
 
 def ehrhart_counts(p: CycloParams, k_max: int, *, budget: int | None = None) -> list[int]:
     """Lattice-point counts of the dilations 0..k_max."""
     if k_max < 0:
         raise InvalidParameters("k_max must be nonnegative")
-    ctx = instance(p, budget)
-    return [len(ctx.slice(k)) for k in range(k_max + 1)]
+    ctx = instance(p)
+    return [len(ctx.slice(k, budget=budget)) for k in range(k_max + 1)]
 
 
 def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:
-    return len(instance(p, budget).slice(k, True))
+    return len(instance(p).slice(k, True, budget=budget))
 
 
 @dataclass(frozen=True)

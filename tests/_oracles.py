@@ -23,7 +23,7 @@ from math import gcd
 
 from cyclotoric.core import CycloParams, DeltaTable, InvalidParameters, vertex
 from cyclotoric.divdiff import _check_index_set, bvec
-from cyclotoric.faces import is_face
+from cyclotoric.faces import MOMENT, is_face
 from cyclotoric.intlinalg import dot, primitive, vec_sub
 from cyclotoric.kp import r1_issues
 from cyclotoric.kq import generator_lattice
@@ -230,7 +230,7 @@ def leading_facet_heights(p: CycloParams) -> tuple[tuple[int, ...], int]:
 
 def in_cone(ctx: Instance, x) -> bool:
     """Cone membership: facet hyperplanes pass through the apex (rhs 0, >=)."""
-    return all(dot(a, x) >= 0 for a in ctx.normals)
+    return all(dot(a, x) >= 0 for a in ctx.frame(MOMENT).normals)
 
 
 def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
@@ -241,8 +241,8 @@ def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
     are pruned.
     """
     z = tuple(z)
-    ctx = instance(p, budget)
-    gens = ctx.slice(1)
+    ctx = instance(p)
+    gens = ctx.slice(1, budget=budget)
     memo: dict[tuple[int, ...], bool] = {}
 
     def rec(x) -> bool:
@@ -273,11 +273,11 @@ def cone_probe_normal_kp(
     generator step lands back in the cone.
     """
     bound = p.d if max_degree is None else max_degree
-    ctx = instance(p, budget)
+    ctx = instance(p)
     vert_set = set(ctx.vertices)
-    gens = ctx.vertices + tuple(g for g in ctx.slice(1) if g not in vert_set)
+    gens = ctx.vertices + tuple(g for g in ctx.slice(1, budget=budget) if g not in vert_set)
     for k in range(2, bound + 1):
-        for z in ctx.slice(k):
+        for z in ctx.slice(k, budget=budget):
             if not any(in_cone(ctx, vec_sub(z, g)) for g in gens):
                 return False, z
     return True, None
@@ -297,11 +297,11 @@ def cone_probe_normal_kq(
     """
     bound = p.d if max_degree is None else max_degree
     lat = generator_lattice(p)
-    ctx = instance(p, budget)
+    ctx = instance(p)
     vert_set = set(ctx.vertices)
     try:
         for k in range(1, bound + 1):
-            for z in ctx.slice(k):
+            for z in ctx.slice(k, budget=budget):
                 if not lat.contains(z):
                     continue
                 if k == 1:

@@ -94,7 +94,7 @@ def test_criterion_03_codimension_one_witnesses():
                     if k in w:
                         continue
                     x = r1_witness(w, k, p)
-                    assert sf.value_on(x) == 1, (d, tau, w, k)
+                    assert sf.slack(x) == 1, (d, tau, w, k)
                     assert all(h.slack(x) >= 0 for h in hps), (d, tau, w, k)
 
 

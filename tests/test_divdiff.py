@@ -127,7 +127,7 @@ class TestSupportForm:
         for w in facets(p):
             sf = support_form(w, p)
             for i in range(1, p.n + 1):
-                val = sf.value_on(vertex(p, i))
+                val = sf.slack(vertex(p, i))
                 assert (val == 0) == (i in w)
                 assert val >= 0
 
@@ -153,7 +153,7 @@ class TestFacetChainBasis:
             sf = support_form(w, p)
             vecs = facet_chain_basis(w, p)
             for c in vecs:
-                assert sf.value_on(c) == 0
+                assert sf.slack(c) == 0
             if p.d >= 1:
                 # exact coordinates over the facet vertices are >= 0
                 from cyclotoric.intlinalg import solve_exact
@@ -176,12 +176,12 @@ class TestR1Witness:
         p = build_params(2, [0, 1, 3])
         x = r1_witness((2, 3), 1, p)
         assert x == (1, 1, 2)
-        assert support_form((2, 3), p).value_on(x) == 1
+        assert support_form((2, 3), p).slack(x) == 1
 
     def test_other_facet(self):
         p = build_params(2, [0, 1, 3])
         x = r1_witness((1, 2), 3, p)
-        assert support_form((1, 2), p).value_on(x) == 1
+        assert support_form((1, 2), p).slack(x) == 1
         coeffs = cone_coefficients(x, (1, 2, 3), p)
         assert all(c >= 0 for c in coeffs)
 
@@ -203,7 +203,7 @@ class TestR1Witness:
                 if k in w:
                     continue
                 x = r1_witness(w, k, p)
-                assert sf.value_on(x) == 1
+                assert sf.slack(x) == 1
                 assert all(h.slack(x) >= 0 for h in hps)
 
 

@@ -3,11 +3,13 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cyclotoric.lattice as lattice_mod
 
-from cyclotoric.core import InvalidParameters, build_params
+from cyclotoric.core import CycloParams, InvalidParameters, build_params
+from cyclotoric.faces import facet_hyperplane, facets
 from cyclotoric.lattice import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -48,6 +50,26 @@ class TestEnumeratePoints:
         pts = enumerate_points(build_params(2, [0, 2, 5]), 2)
         assert all(z[0] == 2 for z in pts)
         assert pts == sorted(pts)
+
+    @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
+    @settings(max_examples=25, deadline=None)
+    def test_scan_order_is_strict_lex_order(self, p):
+        # no sort runs after the scan: its own order must already be lexicographic
+        from itertools import product as iproduct
+
+        from cyclotoric.core import translate
+
+        p = translate(p, -p.tau[0])  # moment-frame boxes grow like tau^d
+        for frame, lattice, interior, k in iproduct(
+            ("moment", "transformed"), (False, True), (False, True), (1, 2, 3)
+        ):
+            try:
+                pts = enumerate_points(
+                    p, k, interior, frame=frame, budget=10**6, vertex_lattice=lattice
+                )
+            except BudgetExceeded:
+                continue
+            assert all(a < b for a, b in zip(pts, pts[1:])), (p, frame, lattice, interior, k)
 
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
     @settings(max_examples=30, deadline=None)
@@ -124,7 +146,7 @@ class TestVertexLatticeScan:
         from cyclotoric.kq import generator_lattice
 
         lat = generator_lattice(p)
-        hps = lattice_mod.Instance(p).hyperplanes
+        hps = [facet_hyperplane(w, p) for w in facets(p)]
         for frame in ("moment", "transformed"):
             for k in (1, 2):
                 try:
@@ -223,10 +245,23 @@ class TestHStar:
             p = build_params(p.d, p.tau[: p.d + 1])
         assert h_star(p).normalized_volume == vandermonde_product(p)
 
-    @given(cyclo_params(max_d=2, max_n=6, max_gap=4, min_d=2))
+    @given(
+        st.one_of(
+            cyclo_params(max_d=2, max_n=6, max_gap=4, min_d=2),
+            cyclo_params(max_d=4, max_n=6, max_gap=3, min_d=3),
+        )
+    )
+    @example(CycloParams(4, (0, 1, 2, 3, 4)))
     @settings(max_examples=30, deadline=None)
     def test_top_entry_counts_interior(self, p):
-        assert h_star(p).h[2] == interior_count(p, 1)
+        # Ehrhart-Macdonald reciprocity: h*_d counts the interior lattice points;
+        # the budget admits every polygon and the smaller instances of d = 3, 4
+        budget = 10**7
+        try:
+            h = h_star(p, budget=budget)
+        except BudgetExceeded:
+            return
+        assert h.h[p.d] == interior_count(p, 1, budget=budget)
 
 
 class TestBudget:
@@ -270,12 +305,15 @@ class TestInstance:
         # also where a stage might hold its own reference to the primitive
         for mod in (lattice_mod, kp_mod, kq_mod):
             monkeypatch.setattr(mod, "enumerate_points", counting, raising=False)
-        lattice_mod._instance.cache_clear()
+        lattice_mod.instance.cache_clear()
         p = build_params(2, [0, 1, 2, 4, 6])
         assert p.n >= p.d + 3 and kq_mod.divisibility_test(p) is None
-        budget = 10**6  # not the default, so a lookup without it would evict the context
+        budget = 10**6  # not the default: each slice request carries it to the box check
         kp_mod.classify_kp(p, oracle=True, budget=budget)
         assert calls[(1, False, False)] == 1 and max(calls.values()) == 1
+        # stages with no budget of their own read the same context
+        kp_mod.interior_generator_candidate(p)
+        kq_mod.generator_lattice(p)
         report = kq_mod.classify_kq(p, use_bruteforce=True, budget=budget)
         assert report.evidence["kind"] == "bruteforce_witness"
         assert calls[(1, False, True)] == 1 and calls[(1, False, False)] == 1
@@ -289,9 +327,61 @@ class TestInstance:
             h_star(p, budget=5)
         with pytest.raises(BudgetExceeded):
             interior_count(p, 1, budget=5)
+        # a refused memo hit says what a fresh enumeration under that budget says
+        ctx = lattice_mod.instance(p)
+        memo = ctx.slice(1, budget=100)
+        with pytest.raises(BudgetExceeded) as hit:
+            ctx.slice(1, budget=5)
+        with pytest.raises(BudgetExceeded) as fresh:
+            enumerate_points(p, 1, budget=5)
+        assert str(hit.value) == str(fresh.value)
+        assert ctx.slice(1, budget=100) is memo
+
+    def test_scan_data_built_once(self, monkeypatch):
+        import cyclotoric.kp as kp_mod
+        import cyclotoric.kq as kq_mod
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            return wrapped
+
+        for name in ("transport_to_transformed", "hnf"):
+            monkeypatch.setattr(lattice_mod, name, counting(name, getattr(lattice_mod, name)))
+        lattice_mod.instance.cache_clear()
+        p = build_params(2, [0, 1, 2, 4, 6])
+        kp_mod.classify_kp(p, oracle=True)
+        report = kq_mod.classify_kq(p, use_bruteforce=True)
+        assert report.evidence["kind"] == "bruteforce_witness"
+        assert calls["transport_to_transformed"] == len(facets(p))
+        assert calls["hnf"] == 1
+
+    def test_dropped_context_is_freed_at_once(self):
+        # no frame refers back to its context, so its slices go with it
+        import gc
+        import weakref
+
+        p = build_params(3, [0, 1, 3, 4, 7])
+        gc.disable()
+        try:
+            ctx = lattice_mod.instance(p)
+            for frame in ("moment", "transformed"):
+                assert ctx.frame(frame).normals and ctx.frame(frame).lattice_rows
+            assert ctx.slice(2) and ctx.slice(1, vertex_lattice=True)
+            ref = weakref.ref(ctx)
+            del ctx
+            lattice_mod.instance(build_params(2, [0, 1, 3]))
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_in_cone_matches_facet_slacks(self):
         p = build_params(3, [0, 1, 3, 4, 7])
         ctx = lattice_mod.instance(p)
+        hps = [facet_hyperplane(w, p) for w in facets(p)]
         for z in ctx.slice(2) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
-            assert in_cone(ctx, z) == all(h.slack(z) >= 0 for h in ctx.hyperplanes)
+            assert in_cone(ctx, z) == all(h.slack(z) >= 0 for h in hps)
