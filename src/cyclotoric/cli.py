@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
@@ -533,9 +534,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_tau(argv: list[str]) -> list[str]:
+    """`--tau -3,-1,0` as `--tau=-3,-1,0`.
+
+    argparse reads a value that starts with '-' and is not a single
+    number as an option, so a parameter list starting with a negative
+    number would otherwise need the `=` form.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tau" and re.match(r"-\d", arg):
+            out[-1] = f"--tau={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_tau(sys.argv[1:] if argv is None else list(argv)))
     try:
         resolve_budget()  # a malformed CYCLOTORIC_BUDGET is a usage error for every command
         return args.func(args)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import sub
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -23,7 +24,9 @@ def vec_add(u: Sequence[int], v: Sequence[int]) -> IntVec:
 
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> IntVec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vec_sub of lengths {len(u)} and {len(v)}")
+    return tuple(map(sub, u, v))
 
 
 def vector_gcd(v: Sequence[int]) -> int:

@@ -33,16 +33,29 @@ def first_gap(
 
     At degree 1 a point must be a generator; at degree k >= 2 one
     generator step must lead down to a point of degree k-1, all of which
-    are members by then.  With vertex_lattice the slices hold only the
+    are members by then.  Neighbours in lex order tend to step down along
+    the same generator, so the one that worked last is tried first and
+    the others, in the order of `gens`, only after it misses; a point
+    fails only when every generator misses, so the answer does not
+    depend on that order.  With vertex_lattice the slices hold only the
     points of the lattice the vertices span, and no other point is ever
     enumerated.  Each slice is requested under `budget`.
     """
     below = set(gens)
+    last = gens[0]
     for k in range(1, bound + 1):
         kept = set()
         for z in ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget):
-            if not (z in below if k == 1 else any(vec_sub(z, g) in below for g in gens)):
-                return z
+            if k == 1:
+                if z not in below:
+                    return z
+            elif vec_sub(z, last) not in below:
+                for g in gens:
+                    if g is not last and vec_sub(z, g) in below:
+                        last = g
+                        break
+                else:
+                    return z
             if k < bound:  # no set for the last degree: nothing looks it up
                 kept.add(z)
         below = kept
@@ -321,7 +334,8 @@ def classify_kp(
     which all coincide for these rings.  With oracle enabled the exact
     Gorenstein route runs alongside the closed-form predicate and any
     mismatch (or a failed witness verification) lands in the notes as a
-    (kind, detail) pair; notes are findings, not errors.
+    (kind, detail) pair; notes are findings, not errors.  On a normal
+    instance the h* symmetry is a third route, compared with the exact one.
     """
     normal, witness = is_normal_kp(p, max_degree=max_degree, budget=budget)
     issues = r1_issues(p)
@@ -339,6 +353,11 @@ def classify_kp(
                     f"but exact route says {oracle_rec.status}",
                 )
             )
+        pal = oracle_rec.h_star_palindromic
+        if normal and pal != (oracle_rec.status == "gorenstein"):
+            # normal K[P] is Cohen-Macaulay, so Gorenstein iff h* is symmetric (Stanley)
+            detail = f"h* palindromic is {pal} but exact route says {oracle_rec.status}"
+            notes.append(("hstar_oracle_discrepancy", detail))
         if not predicate:
             wrep = gorenstein_witnesses(p)
             if not wrep.oracle_needed and not wrep.verified:

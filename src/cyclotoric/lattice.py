@@ -1,15 +1,16 @@
 """Exact lattice-point enumeration in dilations of the homogenised polytope.
 
 Enumeration runs by default in the triangularised coordinates, where
-vertex entries are running gap products instead of raw powers, and maps
-results back through the inverse row-operation matrix; a moment-frame
-path exists for cross-checking.  Candidate ranges come from the vertex
-coordinate extrema and are narrowed per coordinate by the facet
-inequalities, so the recursion only visits feasible prefixes.  A slice
-can be restricted to the lattice the vertices span: each coordinate then
-steps through its residue class modulo the Hermite pivot, so no point
-outside that lattice is visited, while the budget still caps the full
-bounding box.
+vertex entries are running gap products instead of raw powers.  The map
+back to moment coordinates is unit lower-triangular, so the scan emits
+each moment coordinate as it fixes the scan coordinate, shifted by an
+offset that only the prefix sets; a moment-frame path exists for
+cross-checking.  Candidate ranges come from the vertex coordinate
+extrema and are narrowed per coordinate by the facet inequalities, so
+the recursion only visits feasible prefixes.  A slice can be restricted
+to the lattice the vertices span: each coordinate then steps through its
+residue class modulo the Hermite pivot, so no point outside that lattice
+is visited, while the budget still caps the full bounding box.
 
 A budget caps the bounding-box volume: instances that would grind fail
 fast with BudgetExceeded instead.  The default is 10**8 candidates and
@@ -40,7 +41,7 @@ from .faces import (
     require_uniform_frame,
     transport_to_transformed,
 )
-from .intlinalg import hnf, mat_vec
+from .intlinalg import hnf
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "CYCLOTORIC_BUDGET"
@@ -88,6 +89,13 @@ class ScanFrame:
             hps = [transport_to_transformed(h, self.p) for h in hps]
         require_uniform_frame(hps, self.name)
         return tuple(h.normal for h in hps)
+
+    @cached_property
+    def to_moment(self) -> tuple[tuple[int, ...], ...] | None:
+        """Rows of the unit lower-triangular map to moment coordinates (None: the identity)."""
+        if self.name == MOMENT:
+            return None
+        return inverse_transform_factor(self.p)
 
     @cached_property
     def lattice_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -152,20 +160,27 @@ def instance(p: CycloParams) -> Instance:
     return Instance(p)
 
 
-def _scan_box(k, lows, highs, normals, eps, basis):
-    """Points (k, z_1..z_d) of the lattice `basis` in the box with a.z >= eps for all a.
+def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
+    """Points z = (k, z_1..z_d) of the lattice `basis` in the box with a.z >= eps for all a.
 
     `basis` holds the rows of a full-rank row-style Hermite form, so row t
     has its pivot on the diagonal.  Coordinates are fixed left to right.
     Each inequality narrows the current coordinate range using interval
     bounds on the still-free coordinates, so by the last nonzero
-    coordinate of a normal that inequality is fully enforced.  A prefix
-    lies in the lattice exactly when each coordinate t is congruent,
-    modulo the pivot basis[t][t], to the offset the earlier lattice
-    coordinates put on column t; so coordinate t steps through that
-    residue class and never visits a point outside the lattice.  Only
-    the nonzero entries above a pivot carry an offset: with the identity
-    basis the scan does no lattice arithmetic at all.
+    coordinate of a normal that inequality is fully enforced: every value
+    of the last range is a point, and that level is emitted whole.  A
+    prefix lies in the lattice exactly when each coordinate t is
+    congruent, modulo the pivot basis[t][t], to the offset the earlier
+    lattice coordinates put on column t; so coordinate t steps through
+    that residue class and never visits a point outside the lattice.
+    Only the nonzero entries above a pivot carry an offset: with the
+    identity basis the scan does no lattice arithmetic at all.
+
+    Each point is emitted as L.z for the unit lower-triangular rows L of
+    `to_moment`, or as z when it is None.  Emitted coordinate t is z_t
+    plus a shift sum_{j<t} L[t][j] z_j that only the prefix sets, so each
+    node computes it once and carries the emitted prefix beside the scan
+    prefix.
     """
     d = len(lows)
     pivots = [basis[t][t] for t in range(d + 1)]  # pivots[0] is 1: every vertex has x0 = 1
@@ -173,6 +188,8 @@ def _scan_box(k, lows, highs, normals, eps, basis):
     # coordinate is stored only when a later column reads it
     above = [[(i, basis[i][t]) for i in range(t) if basis[i][t]] for t in range(d + 1)]
     stored = [any(basis[t][s] for s in range(t + 1, d + 1)) for t in range(d + 1)]
+    # the nonzero entries left of the unit diagonal of L, by row
+    lower = [[(j, c) for j, c in enumerate(row[:t]) if c] for t, row in enumerate(to_moment or ())]
     coords = [k] + [0] * d  # lattice coordinates of the prefix
     items = []
     for a in normals:
@@ -183,10 +200,7 @@ def _scan_box(k, lows, highs, normals, eps, basis):
     out = []
     prefix = [k] + [0] * d
 
-    def rec(t: int, partials) -> None:
-        if t > d:
-            out.append(tuple(prefix))
-            return
+    def rec(t: int, partials, head) -> None:
         lo, hi = lows[t - 1], highs[t - 1]
         for (a, maxfut), part in zip(items, partials):
             at = a[t]
@@ -210,13 +224,18 @@ def _scan_box(k, lows, highs, normals, eps, basis):
             lo += (offset - lo) % step
         if lo > hi:
             return
+        shift = sum(prefix[j] * c for j, c in lower[t]) if lower else 0
+        if t == d:  # the range enforces every facet: each value is a point
+            out.extend([head + (z + shift,) for z in range(lo, hi + 1, step)])
+            return
         for z in range(lo, hi + 1, step):
             prefix[t] = z
             if store:
                 coords[t] = (z - offset) // step
-            rec(t + 1, [part + a[t] * z for (a, _), part in zip(items, partials)])
+            partials_z = [part + a[t] * z for (a, _), part in zip(items, partials)]
+            rec(t + 1, partials_z, head + (z + shift,))
 
-    rec(1, [a[0] * k for a, _ in items])
+    rec(1, [a[0] * k for a, _ in items], (k,))
     return out
 
 
@@ -237,10 +256,10 @@ def enumerate_points(
     of the Hermite form of the vertex columns in the scanning frame.  The
     budget still caps the full bounding box either way, checked before
     any scan data is built.  `frame` selects the coordinates enumeration
-    works in; output is always mapped back to moment coordinates, and is
-    in lexicographic order with no sort: the scan fixes coordinates left
-    to right over ascending ranges, and the map back is unit
-    lower-triangular, so both frames agree point for point.
+    works in; the scan emits moment coordinates either way, and in
+    lexicographic order with no sort: it fixes coordinates left to right
+    over ascending ranges, and the map back is unit lower-triangular, so
+    both frames agree point for point.
     """
     if k < 0:
         raise InvalidParameters("dilation degree must be nonnegative")
@@ -250,11 +269,8 @@ def enumerate_points(
         basis = scan.lattice_rows
     else:
         basis = [tuple(int(i == j) for j in range(p.d + 1)) for i in range(p.d + 1)]
-    pts = _scan_box(k, lows, highs, scan.normals, 1 if interior_only else 0, basis)
-    if frame == TRANSFORMED:
-        uinv = inverse_transform_factor(p)
-        pts = [mat_vec(uinv, z) for z in pts]
-    return pts
+    eps = 1 if interior_only else 0
+    return _scan_box(k, lows, highs, scan.normals, eps, basis, scan.to_moment)
 
 
 def ehrhart_counts(p: CycloParams, k_max: int, *, budget: int | None = None) -> list[int]:

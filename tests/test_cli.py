@@ -7,6 +7,7 @@ import subprocess
 import sys
 import traceback
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -374,6 +375,34 @@ def cli_argv(draw):
         junk = draw(JUNK)
         argv[i] = f"{name}={junk}" if name.startswith("--") and draw(st.booleans()) else junk
     return argv
+
+
+def _main_output(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--d", "2", "--oracle", "--json"),
+        ("facets", "--d", "2", "--normals"),
+        ("hstar", "--d", "2"),
+        ("points", "--d", "2", "--k", "2"),
+        ("witness", "r1", "--d", "2", "--facet", "1,2"),
+        ("witness", "gorenstein", "--d", "2"),
+    ],
+)
+def test_negative_parameters_take_the_spaced_form(argv):
+    spaced = _main_output(list(argv) + ["--tau", "-4,-1,0"])
+    joined = _main_output(list(argv) + ["--tau=-4,-1,0"])
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1]
 
 
 class TestExitCodes:

@@ -19,6 +19,7 @@ from cyclotoric.intlinalg import (
     solve_dot_one,
     solve_exact,
     unit_lower_inverse,
+    vec_sub,
     vector_gcd,
     xgcd,
 )
@@ -215,3 +216,9 @@ class TestUnitLowerInverse:
         assert prod == tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
+
+
+def test_vec_sub_rejects_a_length_mismatch():
+    assert vec_sub((3, 1, 4), (1, 1, 1)) == (2, 0, 3)
+    with pytest.raises(ValueError):
+        vec_sub((1, 2, 3), (1, 2))

@@ -19,7 +19,7 @@ from cyclotoric.kp import (
     r1_issues,
 )
 from cyclotoric.kq import is_normal_kq_bruteforce
-from cyclotoric.lattice import BudgetExceeded, enumerate_points, h_star
+from cyclotoric.lattice import BudgetExceeded, HStarVector, enumerate_points, h_star
 
 from _oracles import (
     cone_probe_normal_kp,
@@ -75,6 +75,23 @@ class TestIsNormal:
                 member_kp(z, p) for k in (2,) for z in enumerate_points(p, k)
             )
             assert flag == exhaustive
+
+    def test_steps_down_along_the_last_winning_generator_first(self, monkeypatch):
+        # lex neighbours tend to step down along the same generator; trying
+        # the last one that worked first keeps the lookups per point low
+        import cyclotoric.kp as kp_mod
+
+        calls = [0]
+
+        def counted(u, v):
+            calls[0] += 1
+            return vec_sub(u, v)
+
+        monkeypatch.setattr(kp_mod, "vec_sub", counted)
+        p = build_params(3, [0, 2, 4, 6, 8])
+        assert is_normal_kp(p) == (True, None)
+        points = sum(len(enumerate_points(p, k)) for k in (2, 3))
+        assert calls[0] <= 8 * points, (calls[0], points)
 
     def test_both_rings_match_the_cone_probe_scans(self):
         def kp_outcome(check, p, **kw):
@@ -308,6 +325,19 @@ class TestClassify:
         assert not report.cohen_macaulay and not report.s2 and not report.seminormal
         assert report.gorenstein_oracle.status == "not_gorenstein"
         assert report.gorenstein_oracle.generator is None
+
+    def test_hstar_route_reaches_the_findings(self, monkeypatch):
+        # normal K[P] is Cohen-Macaulay, so Gorenstein iff h* is symmetric
+        import cyclotoric.kp as kp_mod
+        from cyclotoric.cli import derive_findings
+
+        p = build_params(2, [0, 1, 3])
+        assert classify_kp(p).notes == ()
+        monkeypatch.setattr(kp_mod, "h_star", lambda p, budget=None: HStarVector((1, 4, 0)))
+        report = classify_kp(p)
+        assert report.normal and report.gorenstein_oracle.status == "gorenstein"
+        kinds = [f.kind for f in derive_findings(p, report, None)]
+        assert kinds == ["hstar_oracle_discrepancy"]
 
     def test_generator_divides_interior_points(self):
         # principality evidence: every low-degree interior point sits above c

@@ -73,15 +73,19 @@ class TestEnumeratePoints:
 
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
     @settings(max_examples=30, deadline=None)
+    @example(CycloParams(4, (0, 1, 2, 3, 4)))
     def test_frames_agree(self, p):
         # moment-frame boxes grow like tau^d, so compare on the zero-based translate
         from cyclotoric.core import translate
 
         p = translate(p, -p.tau[0])
-        for k in (1, 2):
-            assert enumerate_points(p, k, frame="moment") == enumerate_points(
-                p, k, frame="transformed"
-            )
+        for k in (1, 2, 3):
+            for interior in (False, True):
+                for lattice in (False, True):
+                    kw = dict(vertex_lattice=lattice, budget=10**12)
+                    assert enumerate_points(p, k, interior, frame="moment", **kw) == (
+                        enumerate_points(p, k, interior, frame="transformed", **kw)
+                    ), (p, k, interior, lattice)
 
     def test_frames_agree_with_negative_parameters(self):
         p = build_params(2, [-3, -1, 0])
