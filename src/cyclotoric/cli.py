@@ -65,6 +65,15 @@ def derive_findings(
         for kind, detail in kp.notes:
             out.append(Finding(kind, canon, f"{kind}: {detail}"))
     if kq is not None:
+        if kq.evidence["kind"] == "bruteforce_exhaustive":
+            out.append(
+                Finding(
+                    "conjecture45_counterexample",
+                    canon,
+                    "vertex semigroup proven normal by exhaustive search to degree d "
+                    "where the divisibility criterion is silent",
+                )
+            )
         if kq.normal == "unknown":
             out.append(
                 Finding(

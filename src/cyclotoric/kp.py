@@ -2,11 +2,14 @@
 
 Normality is decided by exhaustive low-degree membership checks: a cone
 lattice point of degree above d always splits off a whole vertex, so
-degrees 2..d settle the question.  Codimension-one regularity is checked
-constructively on every facet through explicit lattice bases and value-1
-points.  Gorensteinness is decided twice: a closed-form predicate on
-(d, n, gaps), and an independent exact route that solves for an integer
-point with support-form value 1 against every facet.  The two answers
+degrees 2..d settle the question.  Each degree is checked against the
+one below a fiber at a time: the points that share all but the last
+coordinate form one run, and one generator covers an interval of it.
+Codimension-one regularity is checked constructively on every facet
+through explicit lattice bases and value-1 points.  Gorensteinness is
+decided twice: a closed-form predicate on (d, n, gaps), and an
+independent exact route that solves for an integer point with
+support-form value 1 against every facet.  The two answers
 are compared and any disagreement is reported as data, never raised.
 """
 
@@ -31,33 +34,44 @@ def first_gap(
 ) -> tuple[int, ...] | None:
     """First slice point, in (degree, lex) order up to `bound`, that `gens` miss; or None.
 
-    At degree 1 a point must be a generator; at degree k >= 2 one
-    generator step must lead down to a point of degree k-1, all of which
-    are members by then.  Neighbours in lex order tend to step down along
-    the same generator, so the one that worked last is tried first and
-    the others, in the order of `gens`, only after it misses; a point
-    fails only when every generator misses, so the answer does not
-    depend on that order.  With vertex_lattice the slices hold only the
-    points of the lattice the vertices span, and no other point is ever
-    enumerated.  Each slice is requested under `budget`.
+    `gens` are generator fibers (head, first, last) of degree 1, stepping
+    like the slices.  Degrees are checked in order, so a point of degree
+    k is a member when one generator leads down to a point of degree
+    k-1: the Minkowski-sum form of normality, kP in (k-1)P + P on
+    lattice points.  The points of degree k-1 with one head form one
+    run, so a generator fiber g and the run below at head - g.head cover
+    a whole interval of each fiber of degree k, and a cursor walks the
+    fiber from interval to interval.  Degree 0 is the one point at the
+    origin, so at degree 1 the generators cover themselves alone.
+    Neighbouring fibers tend to step down along the same generator, so
+    the one that covered last is tried first and the others, in the
+    order of `gens`, only after it misses; the first value no generator
+    covers is the answer whatever that order.  With vertex_lattice the slices hold
+    only the points of the lattice the vertices span, and no other point
+    is ever enumerated.  Each slice is requested under `budget`.
     """
-    below = set(gens)
+    below = {(0,) * len(gens[0][0]): (0, 0)}
     last = gens[0]
     for k in range(1, bound + 1):
-        kept = set()
-        for z in ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget):
-            if k == 1:
-                if z not in below:
-                    return z
-            elif vec_sub(z, last) not in below:
-                for g in gens:
-                    if g is not last and vec_sub(z, g) in below:
-                        last = g
-                        break
-                else:
-                    return z
-            if k < bound:  # no set for the last degree: nothing looks it up
-                kept.add(z)
+        pts = ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget)
+        step, kept = pts.step, {}
+        for head, x, end in pts.fibers:
+            if k < bound:  # no runs for the last degree: nothing looks them up
+                kept[head] = (x, end)
+            while x <= end:
+                gh, lo, hi = last
+                run = below.get(vec_sub(head, gh))
+                if run is None or not run[0] + lo <= x <= run[1] + hi:
+                    for g in gens:
+                        if g is not last:
+                            gh, lo, hi = g
+                            run = below.get(vec_sub(head, gh))
+                            if run is not None and run[0] + lo <= x <= run[1] + hi:
+                                last = g
+                                break
+                    else:
+                        return head + (x,)
+                x = run[1] + hi + step
         below = kept
     return None
 
@@ -67,16 +81,18 @@ def is_normal_kp(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Exhaustive normality check; returns (flag, first failing point or None).
 
-    Degrees 1..max_degree are scanned by `first_gap`.  The default
-    bound d is exhaustive: any cone lattice point of degree above d has a
-    vertex coefficient >= 1 in some conic combination, so peeling whole
-    vertices reduces every membership question to degree <= d.  Vertices
-    lead the generators: in slice order a step down takes 10-50x the lookups.
+    Degrees 1..max_degree are scanned by `first_gap`, one fiber at a
+    time.  The default bound d is exhaustive: any cone lattice point of
+    degree above d has a vertex coefficient >= 1 in some conic
+    combination, so peeling whole vertices reduces every membership
+    question to degree <= d.  The generators are the fibers of degree 1,
+    those holding a vertex first: in slice order a fiber takes about 2.5x
+    the lookups.
     """
     bound = p.d if max_degree is None else max_degree
     ctx = instance(p)
-    vert_set = set(ctx.vertices)
-    gens = ctx.vertices + tuple(g for g in ctx.slice(1, budget=budget) if g not in vert_set)
+    heads = {v[:-1] for v in ctx.vertices}
+    gens = sorted(ctx.slice(1, budget=budget).fibers, key=lambda f: f[0] not in heads)
     witness = first_gap(ctx, gens, bound, budget=budget)
     return witness is None, witness
 

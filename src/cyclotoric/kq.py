@@ -166,7 +166,8 @@ def is_normal_kq_bruteforce(
     bound = p.d if max_degree is None else max_degree
     ctx = instance(p)
     try:
-        witness = first_gap(ctx, ctx.vertices, bound, vertex_lattice=True, budget=budget)
+        gens = tuple((v[:-1], v[-1], v[-1]) for v in ctx.vertices)
+        witness = first_gap(ctx, gens, bound, vertex_lattice=True, budget=budget)
     except BudgetExceeded:
         return "inconclusive", None
     return ("normal", None) if witness is None else ("not_normal", witness)
@@ -204,6 +205,13 @@ def classify_kq(
     relation carry a square), and wider instances fall to the
     divisibility criterion, then optionally to brute force; whatever
     survives is reported unknown rather than guessed.
+
+    The brute force proves "yes" only when it ran to the full bound
+    (`max_degree` None or at least d); the evidence kind is then
+    "bruteforce_exhaustive".  Otherwise its verdict stays "unknown",
+    with evidence {"kind": "none", "bruteforce": ...}: "normal" means
+    no gap below a lowered `max_degree`, and "inconclusive" a budget
+    stop.  Without brute force the evidence is {"kind": "none"}.
     """
     ci = p.n == p.d + 2
     kb = kernel_binomial(p) if ci else None
@@ -245,6 +253,10 @@ def classify_kq(
                 False,
                 {"kind": "bruteforce_witness", "witness": list(witness)},
                 None,
+            )
+        if verdict == "normal" and (max_degree is None or max_degree >= p.d):
+            return RingReportKQ(
+                "general", "yes", False, {"kind": "bruteforce_exhaustive"}, None
             )
         return RingReportKQ(
             "general", "unknown", False, {"kind": "none", "bruteforce": verdict}, None

@@ -12,6 +12,13 @@ to the lattice the vertices span: each coordinate then steps through its
 residue class modulo the Hermite pivot, so no point outside that lattice
 is visited, while the budget still caps the full bounding box.
 
+The last coordinate is fixed as one range per prefix, so a slice is a
+run of fibers: the points that share all but the last coordinate, which
+step along it by the last Hermite pivot (1 for the full lattice).  Each
+slice is a `Slice`, a plain list of its points that also carries those
+fibers as (head, first, last) in moment coordinates, and the normality
+scan reads the fibers instead of the points.
+
 A budget caps the bounding-box volume: instances that would grind fail
 fast with BudgetExceeded instead.  The default is 10**8 candidates and
 can be overridden per call or through the CYCLOTORIC_BUDGET environment
@@ -61,6 +68,18 @@ def resolve_budget(budget: int | None = None) -> int:
         return int(env)
     except ValueError:
         raise InvalidParameters(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+class Slice(list):
+    """The points of one degree slice, in lex order, with their fibers.
+
+    `fibers` holds one (head, first, last) per run of points that share
+    the head, all coordinates but the last, in lex order of the heads:
+    the run is head + (x,) for x = first, first + step, ..., last.
+    """
+
+    fibers: list
+    step: int
 
 
 @dataclass(frozen=True)
@@ -139,7 +158,7 @@ class Instance:
     def slice(
         self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
         budget: int | None = None,
-    ) -> list[tuple[int, ...]]:
+    ) -> Slice:
         """The degree-k slice in scan order, enumerated once; callers must not mutate it.
 
         A memo hit passes the box check a fresh enumeration under `budget` makes.
@@ -180,7 +199,8 @@ def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
     `to_moment`, or as z when it is None.  Emitted coordinate t is z_t
     plus a shift sum_{j<t} L[t][j] z_j that only the prefix sets, so each
     node computes it once and carries the emitted prefix beside the scan
-    prefix.
+    prefix.  The last range, shifted, is also recorded as the fiber of
+    its emitted prefix.
     """
     d = len(lows)
     pivots = [basis[t][t] for t in range(d + 1)]  # pivots[0] is 1: every vertex has x0 = 1
@@ -197,7 +217,8 @@ def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
         for t in range(d, 0, -1):
             maxfut[t] = maxfut[t + 1] + max(a[t] * lows[t - 1], a[t] * highs[t - 1])
         items.append((a, maxfut))
-    out = []
+    out = Slice()
+    out.fibers, out.step = [], pivots[d]
     prefix = [k] + [0] * d
 
     def rec(t: int, partials, head) -> None:
@@ -227,6 +248,7 @@ def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
         shift = sum(prefix[j] * c for j, c in lower[t]) if lower else 0
         if t == d:  # the range enforces every facet: each value is a point
             out.extend([head + (z + shift,) for z in range(lo, hi + 1, step)])
+            out.fibers.append((head, lo + shift, hi - (hi - lo) % step + shift))
             return
         for z in range(lo, hi + 1, step):
             prefix[t] = z
@@ -247,7 +269,7 @@ def enumerate_points(
     frame: str = TRANSFORMED,
     budget: int | None = None,
     vertex_lattice: bool = False,
-) -> list[tuple[int, ...]]:
+) -> Slice:
     """Lattice points of the degree-k dilation slice, in moment coordinates.
 
     interior_only keeps only points with strictly positive slack on every
@@ -259,7 +281,7 @@ def enumerate_points(
     works in; the scan emits moment coordinates either way, and in
     lexicographic order with no sort: it fixes coordinates left to right
     over ascending ranges, and the map back is unit lower-triangular, so
-    both frames agree point for point.
+    both frames agree point for point, and fiber for fiber.
     """
     if k < 0:
         raise InvalidParameters("dilation degree must be nonnegative")

@@ -1,18 +1,19 @@
 """Independent oracles the tests check production code against.
 
 The oracles deliberately avoid the production code paths they are used
-to verify: facets come from rational nullspaces and sign patterns rather
-than the combinatorial rule, polygon counts come from shoelace areas and
-gcd boundary counts, and simplex volumes come from the closed-form
-difference product.
+to verify: facets come from integer maximal minors (Bareiss
+determinants) and sign patterns rather than the combinatorial rule,
+polygon counts come from shoelace areas and gcd boundary counts, and
+simplex volumes come from the closed-form difference product.
 
 Below them are helpers only the tests call, kept out of the package:
 the alternating divided-difference form, the contraction identity,
 prefix bases, the non-face partition scan, the last-row heights, a
 generic nullspace, the facet-sign cone test, the memoised membership
-search, and the two cone-probe normality scans that production's
-degree-below lookup (`kp.first_gap`) replaced.  The last three read the
-shared instance context, as production does.
+search, the two cone-probe normality scans that production's
+degree-below lookup replaced, and that lookup point by point, which
+the fiber scan (`kp.first_gap`) replaced.  The last four read an
+instance context, as production does.
 """
 
 from __future__ import annotations
@@ -32,19 +33,45 @@ from cyclotoric.lattice import BudgetExceeded, Instance, instance
 
 def brute_facets(p: CycloParams) -> tuple[tuple[int, ...], ...]:
     """Facets by exact hyperplane testing: a d-subset spans a facet iff the
-    nullspace of its vertex rows is a line whose values on the remaining
-    vertices all share one sign."""
+    normal of its vertex rows (their signed maximal minors) is nonzero and
+    its values on the remaining vertices all share one sign."""
+    verts = {i: vertex(p, i) for i in range(1, p.n + 1)}
     out = []
-    for w in combinations(range(1, p.n + 1), p.d):
-        rows = [vertex(p, i) for i in w]
-        basis = nullspace(rows)
-        if len(basis) != 1:
+    for w in combinations(verts, p.d):
+        m = minors_normal([verts[i] for i in w])
+        if not any(m):
             continue
-        m = basis[0]
-        vals = [dot(m, vertex(p, j)) for j in range(1, p.n + 1) if j not in w]
+        vals = [dot(m, v) for j, v in verts.items() if j not in w]
         if all(v > 0 for v in vals) or all(v < 0 for v in vals):
             out.append(w)
     return tuple(out)
+
+
+def minors_normal(rows) -> list[int]:
+    """Signed maximal minors of d rows of length d+1: a normal of their span, zero if rank < d."""
+    return [
+        (-1) ** j * bareiss_det([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(len(rows) + 1)
+    ]
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def brute_is_face(w, p: CycloParams) -> bool:
@@ -313,6 +340,38 @@ def cone_probe_normal_kq(
     except BudgetExceeded:
         return "inconclusive", None
     return "normal", None
+
+
+def pointwise_first_gap(
+    ctx: Instance, gens, bound: int, vertex_lattice: bool = False, budget: int | None = None
+) -> tuple[int, ...] | None:
+    """First slice point, in (degree, lex) order up to `bound`, that `gens` miss; or None.
+
+    The point-by-point form of `kp.first_gap`, with generator points:
+    at degree 1 a point must be a generator; at degree k >= 2 one
+    generator step must lead down to a point of degree k-1, all of which
+    are members by then.  The generator that worked last is tried first;
+    a point fails only when every generator misses.
+    """
+    below = set(gens)
+    last = gens[0]
+    for k in range(1, bound + 1):
+        kept = set()
+        for z in ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget):
+            if k == 1:
+                if z not in below:
+                    return z
+            elif vec_sub(z, last) not in below:
+                for g in gens:
+                    if g is not last and vec_sub(z, g) in below:
+                        last = g
+                        break
+                else:
+                    return z
+            if k < bound:
+                kept.add(z)
+        below = kept
+    return None
 
 
 def verify_r1(p: CycloParams) -> bool:

@@ -11,6 +11,7 @@ from cyclotoric.intlinalg import dot, vec_add, vec_sub
 from cyclotoric.kp import (
     NoWitnessExpected,
     classify_kp,
+    first_gap,
     gorenstein_oracle,
     gorenstein_theorem,
     gorenstein_witnesses,
@@ -19,13 +20,22 @@ from cyclotoric.kp import (
     r1_issues,
 )
 from cyclotoric.kq import is_normal_kq_bruteforce
-from cyclotoric.lattice import BudgetExceeded, HStarVector, enumerate_points, h_star
+from cyclotoric.lattice import (
+    BudgetExceeded,
+    HStarVector,
+    Slice,
+    enumerate_points,
+    h_star,
+    instance,
+)
 
 from _oracles import (
     cone_probe_normal_kp,
     cone_probe_normal_kq,
     gap_family,
     member_kp,
+    minors_normal,
+    pointwise_first_gap,
     verify_r1,
 )
 from _strategies import cyclo_params
@@ -93,6 +103,82 @@ class TestIsNormal:
         points = sum(len(enumerate_points(p, k)) for k in (2, 3))
         assert calls[0] <= 8 * points, (calls[0], points)
 
+    def test_one_lookup_covers_a_run_of_points(self, monkeypatch):
+        # a lookup covers an interval of a fiber, so the scan needs fewer
+        # lookups than there are points to check
+        import cyclotoric.kp as kp_mod
+
+        calls = [0]
+
+        def counted(u, v):
+            calls[0] += 1
+            return vec_sub(u, v)
+
+        monkeypatch.setattr(kp_mod, "vec_sub", counted)
+        p = build_params(3, [0, 2, 4, 6, 8])
+        assert is_normal_kp(p) == (True, None)
+        points = sum(len(enumerate_points(p, k)) for k in (2, 3))
+        assert calls[0] < points, (calls[0], points)
+
+    def test_fiber_scan_matches_the_pointwise_reference(self):
+        # verdict and witness of both rings, against the scan point by point.
+        # K[P] runs under budget 5 and 10**5, which admits 734 of the 1,074
+        # instances to degree d and the rest to a lower one (the default budget
+        # costs the reference minutes); K[Q] runs under 5, the default and
+        # 10**12, which admits them all
+        def outcome(scan, p, max_degree, budget):
+            try:
+                return scan(p, max_degree, budget=budget)
+            except BudgetExceeded:
+                return "budget"
+
+        def reference_kp(p, max_degree, budget):
+            ctx = instance(p)
+            vert_set = set(ctx.vertices)
+            slice1 = ctx.slice(1, budget=budget)
+            gens = ctx.vertices + tuple(g for g in slice1 if g not in vert_set)
+            bound = p.d if max_degree is None else max_degree
+            witness = pointwise_first_gap(ctx, gens, bound, budget=budget)
+            return witness is None, witness
+
+        def reference_kq(p, max_degree, budget):
+            ctx = instance(p)
+            bound = p.d if max_degree is None else max_degree
+            try:
+                witness = pointwise_first_gap(
+                    ctx, ctx.vertices, bound, vertex_lattice=True, budget=budget
+                )
+            except BudgetExceeded:
+                return "inconclusive", None
+            return ("normal", None) if witness is None else ("not_normal", witness)
+
+        seen = set()
+        for d, tau in gap_family(max_d=3, max_n=6, max_gap=3):
+            p = build_params(d, tau)
+            for max_degree in (None, 0, 1, 2):
+                for budget in (5, 10**5):
+                    kp = outcome(is_normal_kp, p, max_degree, budget)
+                    assert kp == outcome(reference_kp, p, max_degree, budget), (p, max_degree)
+                    seen.add(kp if kp == "budget" else kp[0])
+                for budget in (5, None, 10**12):
+                    kq = is_normal_kq_bruteforce(p, max_degree, budget=budget)
+                    assert kq == reference_kq(p, max_degree, budget), (p, max_degree, budget)
+                    seen.add(kq[0])
+        assert seen == {True, "budget", "normal", "not_normal", "inconclusive"}
+
+    def test_a_non_normal_polytope_gets_the_reference_witness(self):
+        # no cyclic instance fails at degree >= 2, so a scan that covers too
+        # much passes them all; the Reeve tetrahedron of height r >= 2 holds
+        # only its vertices, and (2, 1, 1, 1) lies in 2P but is no sum of two
+        for r in (1, 2, 3, 4):
+            ctx = _BoxContext(((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, r)))
+            assert len(ctx.slice(1)) == 4
+            expected = None if r == 1 else (2, 1, 1, 1)
+            for bound in (1, 2, 3):
+                want = expected if bound >= 2 else None
+                assert pointwise_first_gap(ctx, tuple(ctx.slice(1)), bound) == want, (r, bound)
+                assert first_gap(ctx, tuple(ctx.slice(1).fibers), bound) == want, (r, bound)
+
     def test_both_rings_match_the_cone_probe_scans(self):
         def kp_outcome(check, p, **kw):
             try:
@@ -119,6 +205,41 @@ class TestIsNormal:
             seen.update((kp if kp == "budget" else kp[0], kq[0]))
         # every K[P] in this family is normal; only K[Q] yields witnesses
         assert seen >= {True, "budget", "normal", "not_normal", "inconclusive"}
+
+
+class _BoxContext:
+    """A stand-in instance context for a lattice simplex given by its homogeneous vertices.
+
+    Slices come from filtering the whole bounding box by the facet
+    inequalities, and fibers from grouping the points by their head.
+    """
+
+    def __init__(self, vertices):
+        self.vertices = vertices
+        self.normals = []
+        for i, apex in enumerate(vertices):
+            m = minors_normal(vertices[:i] + vertices[i + 1 :])
+            self.normals.append(m if dot(m, apex) > 0 else [-x for x in m])
+
+    def slice(self, k, vertex_lattice=False, budget=None):
+        from itertools import groupby
+        from itertools import product as iproduct
+
+        ranges = [
+            range(k * min(v[t] for v in self.vertices), k * max(v[t] for v in self.vertices) + 1)
+            for t in range(1, len(self.vertices[0]))
+        ]
+        pts = Slice(
+            (k,) + rest
+            for rest in iproduct(*ranges)
+            if all(dot(a, (k,) + rest) >= 0 for a in self.normals)
+        )
+        pts.fibers = [
+            (head, run[0][-1], run[-1][-1])
+            for head, run in ((h, list(g)) for h, g in groupby(pts, key=lambda z: z[:-1]))
+        ]
+        pts.step = 1
+        return pts
 
 
 class TestR1:

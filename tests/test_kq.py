@@ -201,6 +201,32 @@ class TestClassify:
         assert r.evidence["kind"] == "bruteforce_witness"
         assert r.evidence["witness"][0] <= 2
 
+    def test_exhaustive_bruteforce_is_a_proof(self, monkeypatch):
+        # no instance at hand is normal where divisibility is silent, so force
+        # the search's verdict: only a search to the full bound proves "yes"
+        import cyclotoric.kq as kq_mod
+        from cyclotoric.cli import derive_findings
+
+        p = build_params(2, [0, 1, 2, 3, 4])
+        verdict = ["normal"]
+        monkeypatch.setattr(
+            kq_mod, "is_normal_kq_bruteforce", lambda p, md, budget=None: (verdict[0], None)
+        )
+
+        def outcome(**kw):
+            r = classify_kq(p, use_bruteforce=True, **kw)
+            return r.normal, r.evidence, [f.kind for f in derive_findings(p, None, r)]
+
+        proven = ("yes", {"kind": "bruteforce_exhaustive"}, ["conjecture45_counterexample"])
+        assert outcome() == outcome(max_degree=2) == outcome(max_degree=3) == proven
+        unknown = ["conjecture45_unknown_instance"]
+        lowered = ("unknown", {"kind": "none", "bruteforce": "normal"}, unknown)
+        assert outcome(max_degree=1) == lowered
+        verdict[0] = "inconclusive"
+        assert outcome() == ("unknown", {"kind": "none", "bruteforce": "inconclusive"}, unknown)
+        r = classify_kq(p)
+        assert (r.normal, r.evidence) == ("unknown", {"kind": "none"})
+
     def test_json_shape(self):
         d = classify_kq(build_params(2, [0, 1, 2, 3])).to_dict()
         assert set(d) == {"case", "normal", "complete_intersection", "evidence", "kernel"}

@@ -87,6 +87,42 @@ class TestEnumeratePoints:
                         enumerate_points(p, k, interior, frame="transformed", **kw)
                     ), (p, k, interior, lattice)
 
+    @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
+    @settings(max_examples=25, deadline=None)
+    def test_fibers_expand_to_the_slice(self, p):
+        # each slice is a plain list whose fibers, stepped out, are its points in order
+        import json
+        from itertools import product as iproduct
+
+        from cyclotoric.core import translate
+
+        p = translate(p, -p.tau[0])  # moment-frame boxes grow like tau^d
+        ctx = lattice_mod.instance(p)
+        for frame, lattice, interior, k in iproduct(
+            ("moment", "transformed"), (False, True), (False, True), (0, 1, 2, 3)
+        ):
+            try:
+                pts = enumerate_points(
+                    p, k, interior, frame=frame, budget=10**6, vertex_lattice=lattice
+                )
+            except BudgetExceeded:
+                continue
+            where = (p, frame, lattice, interior, k)
+            assert isinstance(pts, list) and json.loads(json.dumps(pts)) == [
+                list(z) for z in pts
+            ], where
+            pivot = ctx.frame(frame).lattice_rows[-1][-1]
+            assert pts.step == (pivot if lattice else 1), where
+            heads = [head for head, _, _ in pts.fibers]
+            assert all(a < b for a, b in zip(heads, heads[1:])), where
+            expanded = [
+                head + (x,)
+                for head, first, last in pts.fibers
+                for x in range(first, last + 1, pts.step)
+            ]
+            assert expanded == pts, where
+            assert all((last - first) % pts.step == 0 for _, first, last in pts.fibers), where
+
     def test_frames_agree_with_negative_parameters(self):
         p = build_params(2, [-3, -1, 0])
         for k in (1, 2):
