@@ -447,7 +447,7 @@ def _show_hstar(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
 def _show_points(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     pts = enumerate_points(p, args.k, args.interior, frame=args.frame, budget=args.budget)
     # tuples encode as JSON arrays; text lines are made only when printed
-    return {"k": args.k, "points": pts}, (" ".join(map(str, z)) for z in pts)
+    return {"k": args.k, "points": list(pts)}, (" ".join(map(str, z)) for z in pts)
 
 
 def cmd_print(args) -> int:
@@ -464,6 +464,12 @@ def cmd_print(args) -> int:
 def _add_instance_args(sub) -> None:
     sub.add_argument("--d", type=int, required=True, help="polytope dimension")
     sub.add_argument("--tau", required=True, help="comma-separated increasing integers")
+
+
+def _max_degree(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
 
 
 def _add_budget_arg(sub) -> None:
@@ -486,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(sc)
     sc.add_argument("--ring", choices=("kp", "kq", "both"), default="both")
     sc.add_argument("--oracle", action="store_true", help="run the exact cross-check routes")
-    sc.add_argument("--max-degree", type=int, default=None)
+    sc.add_argument("--max-degree", type=_max_degree, default=None)
     _add_budget_arg(sc)
     sc.add_argument("--json", action="store_true")
     sc.set_defaults(func=cmd_classify)
@@ -497,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--max-gap", type=int, required=True)
     ss.add_argument("--ring", choices=("kp", "kq", "both"), default="both")
     ss.add_argument("--oracle", action="store_true")
-    ss.add_argument("--max-degree", type=int, default=None)
+    ss.add_argument("--max-degree", type=_max_degree, default=None)
     _add_budget_arg(ss)
     ss.add_argument("--threads", type=int, default=None)
     ss.add_argument("--out", default=None, help="JSONL output path (default stdout)")

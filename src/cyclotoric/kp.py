@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CycloParams, DeltaTable, reverse_negate
+from .core import CycloParams, DeltaTable, InvalidParameters, reverse_negate
 from .divdiff import (
     cone_coefficients,
     facet_lattice_index,
@@ -46,10 +46,12 @@ def first_gap(
     Neighbouring fibers tend to step down along the same generator, so
     the one that covered last is tried first and the others, in the
     order of `gens`, only after it misses; the first value no generator
-    covers is the answer whatever that order.  With vertex_lattice the slices hold
-    only the points of the lattice the vertices span, and no other point
-    is ever enumerated.  Each slice is requested under `budget`.
+    covers is the answer whatever that order.  With vertex_lattice the
+    slices hold only the points of the lattice the vertices span, and no
+    other point is enumerated.  Each slice is requested under `budget`.
     """
+    if bound < 0:
+        raise InvalidParameters("the degree bound must be nonnegative")
     below = {(0,) * len(gens[0][0]): (0, 0)}
     last = gens[0]
     for k in range(1, bound + 1):
@@ -301,12 +303,12 @@ def gorenstein_witnesses(p: CycloParams) -> WitnessReport:
 
 @dataclass(frozen=True)
 class RingReportKP:
-    normal: bool
+    normal: bool | None  # None: a lowered max_degree found no gap
     nonnormal_witness: tuple[int, ...] | None
-    cohen_macaulay: bool
-    s2: bool
+    cohen_macaulay: bool | None
+    s2: bool | None
     r1: bool
-    seminormal: bool
+    seminormal: bool | None
     gorenstein_theorem: bool
     gorenstein_oracle: GorensteinOracle | None
     notes: tuple[tuple[str, str], ...]  # (finding kind, detail) pairs
@@ -320,17 +322,13 @@ class RingReportKP:
     def to_dict(self) -> dict:
         return {
             "normal": self.normal,
-            "nonnormal_witness": list(self.nonnormal_witness)
-            if self.nonnormal_witness is not None
-            else None,
+            "nonnormal_witness": self.nonnormal_witness and list(self.nonnormal_witness),
             "cohen_macaulay": self.cohen_macaulay,
             "s2": self.s2,
             "r1": self.r1,
             "seminormal": self.seminormal,
             "gorenstein_theorem": self.gorenstein_theorem,
-            "gorenstein_oracle": self.gorenstein_oracle.to_dict()
-            if self.gorenstein_oracle is not None
-            else None,
+            "gorenstein_oracle": self.gorenstein_oracle and self.gorenstein_oracle.to_dict(),
             "discrepancy": self.discrepancy,
             "h_star": list(self.h_star.h),
             "interior_k1": self.interior_k1,
@@ -352,8 +350,11 @@ def classify_kp(
     mismatch (or a failed witness verification) lands in the notes as a
     (kind, detail) pair; notes are findings, not errors.  On a normal
     instance the h* symmetry is a third route, compared with the exact one.
+    A `max_degree` below d that finds no gap leaves those four flags None.
     """
     normal, witness = is_normal_kp(p, max_degree=max_degree, budget=budget)
+    if normal and max_degree is not None and max_degree < p.d:
+        normal = None
     issues = r1_issues(p)
     h = h_star(p, budget=budget)
     predicate = gorenstein_theorem(p)
@@ -361,18 +362,14 @@ def classify_kp(
     oracle_rec = None
     if oracle:
         oracle_rec = gorenstein_oracle(p, normal=normal, h=h, budget=budget)
-        if predicate != (oracle_rec.status == "gorenstein"):
-            notes.append(
-                (
-                    "theorem_oracle_discrepancy",
-                    f"closed-form predicate says {predicate} "
-                    f"but exact route says {oracle_rec.status}",
-                )
-            )
+        exact = oracle_rec.status
+        if predicate != (exact == "gorenstein"):
+            detail = f"closed-form predicate says {predicate} but exact route says {exact}"
+            notes.append(("theorem_oracle_discrepancy", detail))
         pal = oracle_rec.h_star_palindromic
-        if normal and pal != (oracle_rec.status == "gorenstein"):
+        if normal and pal != (exact == "gorenstein"):
             # normal K[P] is Cohen-Macaulay, so Gorenstein iff h* is symmetric (Stanley)
-            detail = f"h* palindromic is {pal} but exact route says {oracle_rec.status}"
+            detail = f"h* palindromic is {pal} but exact route says {exact}"
             notes.append(("hstar_oracle_discrepancy", detail))
         if not predicate:
             wrep = gorenstein_witnesses(p)

@@ -15,9 +15,9 @@ is visited, while the budget still caps the full bounding box.
 The last coordinate is fixed as one range per prefix, so a slice is a
 run of fibers: the points that share all but the last coordinate, which
 step along it by the last Hermite pivot (1 for the full lattice).  Each
-slice is a `Slice`, a plain list of its points that also carries those
-fibers as (head, first, last) in moment coordinates, and the normality
-scan reads the fibers instead of the points.
+slice is a `Slice` that holds only those fibers, as (head, first, last)
+in moment coordinates: the normality scan reads the fibers, the counts
+read its length, and only iterating a slice builds its points.
 
 A budget caps the bounding-box volume: instances that would grind fail
 fast with BudgetExceeded instead.  The default is 10**8 candidates and
@@ -26,10 +26,10 @@ variable.
 
 Every stage reads one `Instance` context: each frame's scan data (vertex
 columns, facet normals, the Hermite rows of the vertex lattice) and a
-memo that enumerates each degree slice, full or vertex-lattice, once.
-`instance` keeps the latest one, keyed on the parameters alone.  The
-budget comes with each slice request, and a memo hit passes the same box
-check as a fresh enumeration.
+memo that enumerates each degree slice, full or vertex-lattice, once
+and keeps its fibers.  `instance` keeps the latest one, keyed on the
+parameters alone.  The budget comes with each slice request, and a memo
+hit passes the same box check as a fresh enumeration.
 """
 
 from __future__ import annotations
@@ -70,16 +70,24 @@ def resolve_budget(budget: int | None = None) -> int:
         raise InvalidParameters(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-class Slice(list):
-    """The points of one degree slice, in lex order, with their fibers.
+@dataclass(frozen=True)
+class Slice:
+    """One degree slice as its fibers; its length and iteration give the points.
 
     `fibers` holds one (head, first, last) per run of points that share
     the head, all coordinates but the last, in lex order of the heads:
     the run is head + (x,) for x = first, first + step, ..., last.
     """
 
-    fibers: list
+    fibers: tuple[tuple[tuple[int, ...], int, int], ...]
     step: int
+
+    def __len__(self) -> int:
+        return sum((last - first) // self.step + 1 for _, first, last in self.fibers)
+
+    def __iter__(self):
+        for head, first, last in self.fibers:
+            yield from (head + (x,) for x in range(first, last + 1, self.step))
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,7 @@ class Instance:
         self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
         budget: int | None = None,
     ) -> Slice:
-        """The degree-k slice in scan order, enumerated once; callers must not mutate it.
+        """The degree-k slice in scan order, enumerated once and kept as its fibers.
 
         A memo hit passes the box check a fresh enumeration under `budget` makes.
         """
@@ -199,8 +207,8 @@ def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
     `to_moment`, or as z when it is None.  Emitted coordinate t is z_t
     plus a shift sum_{j<t} L[t][j] z_j that only the prefix sets, so each
     node computes it once and carries the emitted prefix beside the scan
-    prefix.  The last range, shifted, is also recorded as the fiber of
-    its emitted prefix.
+    prefix.  The last range, shifted, is recorded as the fiber of its
+    emitted prefix, and no point is built.
     """
     d = len(lows)
     pivots = [basis[t][t] for t in range(d + 1)]  # pivots[0] is 1: every vertex has x0 = 1
@@ -217,8 +225,7 @@ def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
         for t in range(d, 0, -1):
             maxfut[t] = maxfut[t + 1] + max(a[t] * lows[t - 1], a[t] * highs[t - 1])
         items.append((a, maxfut))
-    out = Slice()
-    out.fibers, out.step = [], pivots[d]
+    fibers = []
     prefix = [k] + [0] * d
 
     def rec(t: int, partials, head) -> None:
@@ -247,8 +254,7 @@ def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
             return
         shift = sum(prefix[j] * c for j, c in lower[t]) if lower else 0
         if t == d:  # the range enforces every facet: each value is a point
-            out.extend([head + (z + shift,) for z in range(lo, hi + 1, step)])
-            out.fibers.append((head, lo + shift, hi - (hi - lo) % step + shift))
+            fibers.append((head, lo + shift, hi - (hi - lo) % step + shift))
             return
         for z in range(lo, hi + 1, step):
             prefix[t] = z
@@ -258,7 +264,7 @@ def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
             rec(t + 1, partials_z, head + (z + shift,))
 
     rec(1, [a[0] * k for a, _ in items], (k,))
-    return out
+    return Slice(tuple(fibers), pivots[d])
 
 
 def enumerate_points(
@@ -270,7 +276,7 @@ def enumerate_points(
     budget: int | None = None,
     vertex_lattice: bool = False,
 ) -> Slice:
-    """Lattice points of the degree-k dilation slice, in moment coordinates.
+    """The degree-k dilation slice as its fibers, in moment coordinates.
 
     interior_only keeps only points with strictly positive slack on every
     facet.  vertex_lattice keeps only points of the lattice the vertices
@@ -281,7 +287,7 @@ def enumerate_points(
     works in; the scan emits moment coordinates either way, and in
     lexicographic order with no sort: it fixes coordinates left to right
     over ascending ranges, and the map back is unit lower-triangular, so
-    both frames agree point for point, and fiber for fiber.
+    both frames give equal slices, fiber for fiber.
     """
     if k < 0:
         raise InvalidParameters("dilation degree must be nonnegative")
@@ -333,9 +339,8 @@ def h_star(p: CycloParams, *, budget: int | None = None) -> HStarVector:
     """
     counts = ehrhart_counts(p, p.d, budget=budget)
     d = p.d
-    h = []
-    for j in range(d + 1):
-        h.append(sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1)))
+    h = [sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+         for j in range(d + 1)]
     if h[0] != 1 or any(x < 0 for x in h):
         raise ArithmeticError(f"invalid h* transform {h}; enumeration is inconsistent")
     return HStarVector(tuple(h))

@@ -269,7 +269,7 @@ def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
     """
     z = tuple(z)
     ctx = instance(p)
-    gens = ctx.slice(1, budget=budget)
+    gens = tuple(ctx.slice(1, budget=budget))
     memo: dict[tuple[int, ...], bool] = {}
 
     def rec(x) -> bool:

@@ -52,6 +52,19 @@ def test_classify_validation_error():
     assert "tau must be strictly increasing" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--d", "3", "--tau", "0,2,4,6,8", "--ring", "kp", "--max-degree", "-1"),
+        ("scan", "--d", "2..2", "--n", "3..3", "--max-gap", "2", "--ring", "kp",
+         "--threads", "1", "--max-degree", "-5"),
+    ],
+)
+def test_negative_max_degree_is_a_usage_error(argv):
+    code, out = _main_output(argv)
+    assert code == 2 and out == ""
+
+
 def test_classify_budget_exhaustion():
     res = run_cli(
         "classify", "--d", "2", "--tau", "0,7,20", "--ring", "kp", "--budget", "5"

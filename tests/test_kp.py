@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from cyclotoric.core import build_params, reverse_negate, translate, vertex
+from cyclotoric.core import InvalidParameters, build_params, reverse_negate, translate, vertex
 from cyclotoric.faces import facet_hyperplane, facets
 from cyclotoric.intlinalg import dot, vec_add, vec_sub
 from cyclotoric.kp import (
@@ -102,6 +102,13 @@ class TestIsNormal:
         assert is_normal_kp(p) == (True, None)
         points = sum(len(enumerate_points(p, k)) for k in (2, 3))
         assert calls[0] <= 8 * points, (calls[0], points)
+
+    def test_a_negative_bound_is_refused(self):
+        # a negative bound would scan no degree and report a normal ring
+        p = build_params(2, [0, 1, 2, 4, 6])
+        for check in (is_normal_kp, is_normal_kq_bruteforce):
+            with pytest.raises(InvalidParameters):
+                check(p, -1)
 
     def test_one_lookup_covers_a_run_of_points(self, monkeypatch):
         # a lookup covers an interval of a fiber, so the scan needs fewer
@@ -229,17 +236,16 @@ class _BoxContext:
             range(k * min(v[t] for v in self.vertices), k * max(v[t] for v in self.vertices) + 1)
             for t in range(1, len(self.vertices[0]))
         ]
-        pts = Slice(
+        pts = [
             (k,) + rest
             for rest in iproduct(*ranges)
             if all(dot(a, (k,) + rest) >= 0 for a in self.normals)
-        )
-        pts.fibers = [
+        ]
+        fibers = tuple(
             (head, run[0][-1], run[-1][-1])
             for head, run in ((h, list(g)) for h, g in groupby(pts, key=lambda z: z[:-1]))
-        ]
-        pts.step = 1
-        return pts
+        )
+        return Slice(fibers, 1)
 
 
 class TestR1:
@@ -316,7 +322,7 @@ class TestGorensteinOracle:
         p = build_params(2, [0, 1, 3])
         rec = gorenstein_oracle(p, normal=True)
         k = rec.generator[0]
-        assert enumerate_points(p, k, True) == [rec.generator]
+        assert list(enumerate_points(p, k, True)) == [rec.generator]
 
     @given(cyclo_params(max_d=2, max_n=5, max_gap=3, min_d=2))
     @settings(max_examples=25, deadline=None)
@@ -446,6 +452,44 @@ class TestClassify:
         assert not report.cohen_macaulay and not report.s2 and not report.seminormal
         assert report.gorenstein_oracle.status == "not_gorenstein"
         assert report.gorenstein_oracle.generator is None
+
+    def test_a_lowered_bound_proves_no_normality(self, monkeypatch):
+        # a scan that stops below degree d without a gap proves nothing, so
+        # the flags normality drives are unknown; a witness still proves False
+        import cyclotoric.kp as kp_mod
+
+        p = build_params(3, [0, 2, 4, 6, 8])
+        flags = ("normal", "cohen_macaulay", "s2", "seminormal")
+        full = classify_kp(p)
+        for max_degree in (None, 3):
+            report = classify_kp(p, max_degree=max_degree)
+            assert [getattr(report, f) for f in flags] == [True] * 4, max_degree
+        for max_degree in (0, 1):
+            report = classify_kp(p, max_degree=max_degree)
+            assert [getattr(report, f) for f in flags] == [None] * 4, max_degree
+            assert report.nonnormal_witness is None
+            # the exact Gorenstein route decides normality itself
+            assert report.gorenstein_oracle == full.gorenstein_oracle
+            assert report.to_dict()["normal"] is None
+        witness = (2, 1, 1, 1)
+        monkeypatch.setattr(kp_mod, "is_normal_kp", lambda p, **kw: (False, witness))
+        report = classify_kp(p, max_degree=1)
+        assert [getattr(report, f) for f in flags] == [False] * 4
+        assert report.nonnormal_witness == witness
+
+    def test_memory_stays_small(self):
+        # each slice is kept as its fibers: with the point lists kept too, this
+        # classify peaked at 46 MiB of traced allocations
+        import tracemalloc
+
+        instance.cache_clear()
+        tracemalloc.start()
+        try:
+            classify_kp(build_params(3, [0, 3, 6, 9, 12]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_hstar_route_reaches_the_findings(self, monkeypatch):
         # normal K[P] is Cohen-Macaulay, so Gorenstein iff h* is symmetric

@@ -30,12 +30,12 @@ class TestEnumeratePoints:
         p = build_params(2, [0, 1, 3])
         pts = enumerate_points(p, 1)
         assert len(pts) == 7
-        assert enumerate_points(p, 1, True) == [(1, 1, 2)]
+        assert list(enumerate_points(p, 1, True)) == [(1, 1, 2)]
 
     def test_degree_zero(self):
         p = build_params(2, [0, 1, 3])
-        assert enumerate_points(p, 0) == [(0, 0, 0)]
-        assert enumerate_points(p, 0, True) == []
+        assert list(enumerate_points(p, 0)) == [(0, 0, 0)]
+        assert list(enumerate_points(p, 0, True)) == []
 
     def test_small_triangle(self):
         p = build_params(2, [0, 1, 2])
@@ -47,7 +47,7 @@ class TestEnumeratePoints:
             enumerate_points(build_params(2, [0, 1, 3]), -1)
 
     def test_points_have_requested_degree_and_order(self):
-        pts = enumerate_points(build_params(2, [0, 2, 5]), 2)
+        pts = list(enumerate_points(build_params(2, [0, 2, 5]), 2))
         assert all(z[0] == 2 for z in pts)
         assert pts == sorted(pts)
 
@@ -64,9 +64,9 @@ class TestEnumeratePoints:
             ("moment", "transformed"), (False, True), (False, True), (1, 2, 3)
         ):
             try:
-                pts = enumerate_points(
+                pts = list(enumerate_points(
                     p, k, interior, frame=frame, budget=10**6, vertex_lattice=lattice
-                )
+                ))
             except BudgetExceeded:
                 continue
             assert all(a < b for a, b in zip(pts, pts[1:])), (p, frame, lattice, interior, k)
@@ -90,7 +90,7 @@ class TestEnumeratePoints:
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
     @settings(max_examples=25, deadline=None)
     def test_fibers_expand_to_the_slice(self, p):
-        # each slice is a plain list whose fibers, stepped out, are its points in order
+        # each slice is its fibers, which, stepped out, are its points in order
         import json
         from itertools import product as iproduct
 
@@ -108,9 +108,9 @@ class TestEnumeratePoints:
             except BudgetExceeded:
                 continue
             where = (p, frame, lattice, interior, k)
-            assert isinstance(pts, list) and json.loads(json.dumps(pts)) == [
-                list(z) for z in pts
-            ], where
+            points = list(pts)
+            assert json.loads(json.dumps(points)) == [list(z) for z in points], where
+            assert len(pts) == len(points), where
             pivot = ctx.frame(frame).lattice_rows[-1][-1]
             assert pts.step == (pivot if lattice else 1), where
             heads = [head for head, _, _ in pts.fibers]
@@ -120,7 +120,8 @@ class TestEnumeratePoints:
                 for head, first, last in pts.fibers
                 for x in range(first, last + 1, pts.step)
             ]
-            assert expanded == pts, where
+            assert expanded == points, where
+            assert all(first <= last for _, first, last in pts.fibers), where
             assert all((last - first) % pts.step == 0 for _, first, last in pts.fibers), where
 
     def test_frames_agree_with_negative_parameters(self):
@@ -175,7 +176,7 @@ class TestAgainstNaiveBoxScan:
                 for rest in iproduct(*ranges)
                 if all(h.slack((k,) + rest) >= (1 if interior else 0) for h in hps)
             )
-            assert enumerate_points(p, k, interior) == naive
+            assert list(enumerate_points(p, k, interior)) == naive
 
 
 class TestVertexLatticeScan:
@@ -204,7 +205,7 @@ class TestVertexLatticeScan:
                     got = enumerate_points(
                         p, k, interior, frame=frame, budget=budget, vertex_lattice=True
                     )
-                    assert got == expected, (p, frame, k, interior)
+                    assert list(got) == expected, (p, frame, k, interior)
 
     @given(cyclo_params(max_d=3, max_n=6, max_gap=3))
     @settings(max_examples=25, deadline=None)
@@ -423,5 +424,5 @@ class TestInstance:
         p = build_params(3, [0, 1, 3, 4, 7])
         ctx = lattice_mod.instance(p)
         hps = [facet_hyperplane(w, p) for w in facets(p)]
-        for z in ctx.slice(2) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
+        for z in list(ctx.slice(2)) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
             assert in_cone(ctx, z) == all(h.slack(z) >= 0 for h in hps)
