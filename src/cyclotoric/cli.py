@@ -272,8 +272,10 @@ def cmd_scan(args) -> int:
     threads = args.threads if args.threads is not None else os.cpu_count() or 1
     if threads < 1:
         raise InvalidParameters("threads must be at least 1")
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the fork start method forks every worker at the first submit, so size the pool
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_scan_worker, tasks))
     else:
         records = [_scan_worker(t) for t in tasks]

@@ -114,28 +114,29 @@ class TransformedMatrix:
         return tuple(row[i - 1] for row in self.entries)
 
 
+def root_polynomial(roots) -> tuple[int, ...]:
+    """Coefficients of the product of (t - r) over the roots, constant term first.
+
+    Its dot product with a homogenised vertex (1, t, ..., t^k) is the
+    polynomial's value at t.
+    """
+    poly = (1,)
+    for r in roots:
+        poly = tuple(a - r * b for a, b in zip((0,) + poly, poly + (0,)))
+    return poly
+
+
 @lru_cache(maxsize=4096)
 def transform(p: CycloParams) -> TransformedMatrix:
     """Triangularise the moment matrix by accumulated row operations.
 
-    Row r of the factor holds the coefficients of (x - tau_1)...(x - tau_r),
-    so the product against the moment matrix evaluates those polynomials on
-    the parameters.  The result is cross-checked against the running-product
-    closed form entry by entry.
+    Row r of the factor is the `root_polynomial` of tau_1, ..., tau_r,
+    padded with zeros, so the product against the moment matrix evaluates
+    those polynomials on the parameters.  The result is cross-checked
+    against the running-product closed form entry by entry.
     """
     d = p.d
-    u_rows = []
-    poly = [1]
-    for r in range(d + 1):
-        u_rows.append(tuple(poly) + (0,) * (d + 1 - len(poly)))
-        if r < d:
-            t = p.tau[r]
-            nxt = [0] * (len(poly) + 1)
-            for s, c in enumerate(poly):
-                nxt[s + 1] += c
-                nxt[s] -= t * c
-            poly = nxt
-    factor = tuple(u_rows)
+    factor = tuple(root_polynomial(p.tau[:r]) + (0,) * (d - r) for r in range(d + 1))
     entries = mat_mul(factor, moment_matrix(p).entries)
     dt = DeltaTable(p)
     for r in range(1, d + 1):

@@ -5,9 +5,12 @@ For an index set S the basic object is the integer vector
     sum over i in S of  v_i / prod_{j in S, j != i} (tau_j - tau_i),
 
 the order-(#S - 1) divided difference of the homogenised moment curve at
-the chosen parameters.  These vectors are always integral, satisfy the
-classical two-point contraction recurrence, stack into unimodular bases
-along index prefixes, and vanish exactly when #S exceeds d+1.  They are
+the chosen parameters, up to the sign (-1)^(#S - 1).  The divided
+difference of t^r over #S points is the complete homogeneous symmetric
+polynomial of degree r - #S + 1 in their parameters, so the vectors are
+computed as those polynomials, in integers.  They satisfy the classical
+two-point contraction recurrence, stack into unimodular bases along
+index prefixes, and vanish exactly when #S exceeds d+1.  They are
 the workhorse for two constructions: integer bases of a facet's lattice
 slice, and explicit cone points whose support-form value on a chosen
 facet is exactly 1.
@@ -30,23 +33,15 @@ from .intlinalg import (
 
 @lru_cache(maxsize=65536)
 def _bvec_cached(p: CycloParams, s: tuple[int, ...]) -> tuple[int, ...]:
-    tau = p.tau
-    coords = [Fraction(0)] * (p.d + 1)
+    # coordinate r is (-1)^(m-1) h_(r-m+1)(tau_S); h_j += tau * h_(j-1) adds one variable
+    m = len(s)
+    h = [1] + [0] * (p.d + 1 - m)
     for i in s:
-        ti = tau[i - 1]
-        denom = 1
-        for j in s:
-            if j != i:
-                denom *= tau[j - 1] - ti
-        vi = vertex(p, i)
-        for t in range(p.d + 1):
-            coords[t] += Fraction(vi[t], denom)
-    out = []
-    for x in coords:
-        if x.denominator != 1:
-            raise ArithmeticError("divided-difference vector failed to be integral")
-        out.append(int(x))
-    return tuple(out)
+        t = p.tau[i - 1]
+        for j in range(1, len(h)):
+            h[j] += t * h[j - 1]
+    sign = 1 if m % 2 else -1
+    return ((0,) * (m - 1) + tuple(sign * x for x in h))[: p.d + 1]
 
 
 def _check_index_set(s, p: CycloParams) -> tuple[int, ...]:

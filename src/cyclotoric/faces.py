@@ -3,8 +3,11 @@
 The boundary complex of a cyclic polytope is determined by pure
 combinatorics: split a subset of {1..n} into end sets (runs touching 1
 or n) and interior runs, and count the odd-sized interior runs.  Facets
-are the d-subsets with no odd interior run (the evenness rule); their
-supporting hyperplanes are computed exactly as primitive integer normals.
+are the d-subsets with no odd interior run (the evenness rule).  The
+normal of facet W is the coefficient vector of the polynomial whose
+roots are W's parameters: its value on vertex j is that polynomial at
+tau_j, which vanishes exactly on W and, by the evenness rule, has one
+sign on all the other vertices.
 
 Hyperplanes carry the coordinate frame they live in ("moment" for raw
 vertex coordinates, "transformed" for the triangularised ones) and
@@ -22,9 +25,10 @@ from .core import (
     DeltaTable,
     InvalidParameters,
     inverse_transform_factor,
+    root_polynomial,
     vertex,
 )
-from .intlinalg import cross_normal, dot, primitive, vector_gcd
+from .intlinalg import dot, vector_gcd
 
 MOMENT = "moment"
 TRANSFORMED = "transformed"
@@ -133,23 +137,20 @@ def require_uniform_frame(hyperplanes, frame: str | None = None) -> str:
 
 
 def _oriented_facet_normal(w: tuple[int, ...], p: CycloParams) -> tuple[int, ...]:
-    rows = [vertex(p, i) for i in w]
-    normal = primitive(cross_normal(rows))
-    for j in range(1, p.n + 1):
-        if j in w:
-            continue
-        val = dot(normal, vertex(p, j))
-        if val:
-            return normal if val > 0 else tuple(-x for x in normal)
-    raise ArithmeticError("facet normal vanished off the facet")
+    # monic, hence primitive; its value off W is a product of nonzero differences
+    normal = root_polynomial(p.tau[i - 1] for i in w)
+    j = next(j for j in range(1, p.n + 1) if j not in w)
+    return normal if dot(normal, vertex(p, j)) > 0 else tuple(-x for x in normal)
 
 
 def facet_hyperplane(w, p: CycloParams) -> Hyperplane:
     """Primitive oriented supporting hyperplane of a facet, moment frame.
 
-    The normal vanishes on the facet's vertices and is strictly positive
-    on all the others; rhs is 0 because these hyperplanes pass through
-    the apex of the homogenised cone.
+    The normal is +-(the coefficients of the product of (t - tau_i) over
+    i in W, constant term first), signed to be strictly positive on the
+    vertices off the facet; it vanishes on the facet's own.  rhs is 0
+    because these hyperplanes pass through the apex of the homogenised
+    cone.
     """
     return _facet_hyperplane_cached(tuple(sorted(w)), p)
 

@@ -111,16 +111,6 @@ def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
     return tuple(a[i][n] for i in range(n))
 
 
-def cross_normal(rows) -> IntVec:
-    """Integer normal to d independent row vectors in R^(d+1) (cofactor expansion)."""
-    d = len(rows)
-    out = []
-    for t in range(d + 1):
-        minor = [[row[c] for c in range(d + 1) if c != t] for row in rows]
-        out.append((-1) ** t * det(minor))
-    return tuple(out)
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with x*a + y*b == g == gcd(a, b) and g >= 0."""
     x, nx = 1, 0

@@ -350,11 +350,15 @@ def classify_kp(
     mismatch (or a failed witness verification) lands in the notes as a
     (kind, detail) pair; notes are findings, not errors.  On a normal
     instance the h* symmetry is a third route, compared with the exact one.
-    A `max_degree` below d that finds no gap leaves those four flags None.
+    A `max_degree` below d that finds no gap leaves those four flags None,
+    unless the oracle is on and needs the full scan anyway: that is when
+    an integer candidate generator exists, and its verdict is reported.
     """
     normal, witness = is_normal_kp(p, max_degree=max_degree, budget=budget)
     if normal and max_degree is not None and max_degree < p.d:
         normal = None
+        if oracle and interior_generator_candidate(p) is not None:
+            normal, witness = is_normal_kp(p, budget=budget)
     issues = r1_issues(p)
     h = h_star(p, budget=budget)
     predicate = gorenstein_theorem(p)

@@ -12,12 +12,12 @@ can within budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, prod
+from itertools import combinations
+from math import prod
 
 from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix
 from .faces import MOMENT
-from .intlinalg import lattice_contains, mat_vec
+from .intlinalg import lattice_contains, mat_vec, primitive
 from .kp import first_gap
 from .lattice import BudgetExceeded, instance
 
@@ -81,34 +81,22 @@ class KernelBinomial:
 
 
 def kernel_binomial(p: CycloParams) -> KernelBinomial:
-    """The single relation at n = d+2, from the reciprocal-product kernel form.
+    """The single relation at n = d+2, from the Vandermonde kernel form.
 
     Component i of the kernel is proportional to the reciprocal of the
-    product of (tau_j - tau_i) over j != i; j < i contributes i-1 negative
-    factors, so signs alternate starting positive.  The result is scaled
-    to a primitive integer vector with c_1 > 0 and checked against the
-    moment matrix exactly.
+    product of (tau_j - tau_i) over j != i, which has i-1 negative
+    factors.  Scaled by the Vandermonde product of all the parameters,
+    component i is (-1)^(i-1) times the Vandermonde product of the other
+    parameters: an integer vector with c_1 > 0, made primitive and
+    checked against the moment matrix exactly.
     """
     if p.n != p.d + 2:
         raise InvalidParameters("principal relation needs n = d+2")
     tau = p.tau
-    fracs = []
-    for i in range(p.n):
-        denom = 1
-        for j in range(p.n):
-            if j != i:
-                denom *= tau[j] - tau[i]
-        fracs.append(Fraction(1, denom))
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    c = tuple(x // g for x in ints)
-    if c[0] < 0:
-        c = tuple(-x for x in c)
+    c = primitive([
+        (-1) ** i * prod(b - a for a, b in combinations(tau[:i] + tau[i + 1 :], 2))
+        for i in range(p.n)
+    ])
     if any(v != 0 for v in mat_vec(moment_matrix(p).entries, c)):
         raise ArithmeticError("kernel vector does not annihilate the moment matrix")
     u_support = tuple(i + 1 for i, x in enumerate(c) if x > 0)

@@ -400,6 +400,36 @@ def _main_output(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def test_scan_pool_is_sized_by_its_inputs(monkeypatch):
+    # the fork start method forks every worker at the first submit, so the
+    # pool must not ask for more processes than tasks or cores
+    import cyclotoric.cli as cli_mod
+
+    sizes = []
+
+    class StandIn:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", StandIn)
+    argv = ["scan", "--d", "1", "--n", "2", "--max-gap", "2", "--ring", "kq"]
+    for cores, expected in ((4, [2]), (1, [])):
+        sizes.clear()
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cores)
+        code, out = _main_output(argv + ["--threads", "100000"])
+        assert code == 0 and len(out.splitlines()) == 2
+        assert sizes == expected, cores
+
+
 @pytest.mark.parametrize(
     "argv",
     [

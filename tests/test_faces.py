@@ -21,9 +21,9 @@ from cyclotoric.faces import (
     simplex_halfspaces,
     transport_to_transformed,
 )
-from cyclotoric.intlinalg import dot, vector_gcd
+from cyclotoric.intlinalg import dot, primitive, vector_gcd
 
-from _oracles import brute_facets, brute_is_face, nonface_partitions
+from _oracles import brute_facets, brute_is_face, gap_family, minors_normal, nonface_partitions
 from _strategies import cyclo_params
 
 
@@ -165,6 +165,16 @@ class TestFacetHyperplane:
                 val = dot(h.normal, vertex(p, i))
                 assert (val == 0) == (i in w)
                 assert val >= 0
+
+    def test_matches_minors_of_the_vertex_rows(self):
+        for d, tau in list(gap_family(max_d=4, max_n=7, max_gap=3))[::2]:
+            p = build_params(d, tau)
+            for w in facets(p):
+                m = primitive(minors_normal([vertex(p, i) for i in w]))
+                off = next(i for i in range(1, p.n + 1) if i not in w)
+                if dot(m, vertex(p, off)) < 0:
+                    m = tuple(-x for x in m)
+                assert facet_hyperplane(w, p).normal == m
 
 
 class TestSimplexHalfspaces:

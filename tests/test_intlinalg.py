@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotoric.intlinalg import (
-    cross_normal,
     det,
     dot,
     hnf,
@@ -140,22 +139,6 @@ class TestNullspace:
         # rank-nullity on the rational span
         rank = 4 - len(basis)
         assert 0 <= rank <= len(rows)
-
-
-class TestCrossNormal:
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda d: st.lists(
-                st.lists(small_int, min_size=d + 1, max_size=d + 1),
-                min_size=d,
-                max_size=d,
-            )
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_orthogonal_to_rows(self, rows):
-        normal = cross_normal(rows)
-        assert all(dot(row, normal) == 0 for row in rows)
 
 
 class TestHnf:

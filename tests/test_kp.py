@@ -477,6 +477,20 @@ class TestClassify:
         assert [getattr(report, f) for f in flags] == [False] * 4
         assert report.nonnormal_witness == witness
 
+    def test_the_oracle_reports_the_full_scan_it_runs(self):
+        # with an integer candidate generator the oracle scans every degree,
+        # so a lowered bound there still reports the proven verdict
+        flags = ("normal", "cohen_macaulay", "s2", "seminormal")
+        p = build_params(2, [0, 1, 3])
+        full = classify_kp(p)
+        report = classify_kp(p, max_degree=1)
+        assert [getattr(report, f) for f in flags] == [True] * 4
+        assert report.notes == full.notes
+        assert report.gorenstein_oracle == full.gorenstein_oracle
+        report = classify_kp(p, oracle=False, max_degree=1)
+        assert [getattr(report, f) for f in flags] == [None] * 4
+        assert classify_kp(build_params(3, [0, 2, 4, 6, 8]), max_degree=1).normal is None
+
     def test_memory_stays_small(self):
         # each slice is kept as its fibers: with the point lists kept too, this
         # classify peaked at 46 MiB of traced allocations

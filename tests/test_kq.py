@@ -15,7 +15,7 @@ from cyclotoric.kq import (
     kernel_binomial,
 )
 
-from _oracles import leading_facet_heights, nonface_partitions
+from _oracles import gap_family, leading_facet_heights, nonface_partitions
 from _strategies import cyclo_params
 
 
@@ -92,7 +92,8 @@ class TestKernelBinomial:
     def test_matches_generic_nullspace(self):
         from _oracles import nullspace
 
-        for d, tau in [(2, [0, 2, 3, 7]), (3, [0, 1, 4, 5, 6]), (4, [0, 2, 3, 4, 6, 7])]:
+        family = [(d, tau) for d, tau in gap_family(4, 6, 3) if len(tau) == d + 2]
+        for d, tau in family + [(3, (-9, -4, -3, 0, 2))]:
             p = build_params(d, tau)
             kb = kernel_binomial(p)
             basis = nullspace(moment_matrix(p).entries)
