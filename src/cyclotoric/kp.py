@@ -354,11 +354,11 @@ def classify_kp(
     unless the oracle is on and needs the full scan anyway: that is when
     an integer candidate generator exists, and its verdict is reported.
     """
+    if oracle and max_degree in range(p.d) and interior_generator_candidate(p) is not None:
+        max_degree = None  # the oracle scans in full here anyway
     normal, witness = is_normal_kp(p, max_degree=max_degree, budget=budget)
     if normal and max_degree is not None and max_degree < p.d:
         normal = None
-        if oracle and interior_generator_candidate(p) is not None:
-            normal, witness = is_normal_kp(p, budget=budget)
     issues = r1_issues(p)
     h = h_star(p, budget=budget)
     predicate = gorenstein_theorem(p)

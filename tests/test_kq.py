@@ -93,7 +93,7 @@ class TestKernelBinomial:
         from _oracles import nullspace
 
         family = [(d, tau) for d, tau in gap_family(4, 6, 3) if len(tau) == d + 2]
-        for d, tau in family + [(3, (-9, -4, -3, 0, 2))]:
+        for d, tau in family + [(2, (0, 2, 3, 7)), (3, (-9, -4, -3, 0, 2))]:
             p = build_params(d, tau)
             kb = kernel_binomial(p)
             basis = nullspace(moment_matrix(p).entries)
