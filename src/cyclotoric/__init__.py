@@ -31,7 +31,6 @@ from .divdiff import (
 )
 from .faces import (
     FaceType,
-    Hyperplane,
     NotAFacet,
     SubsetDecomposition,
     decompose,
@@ -39,8 +38,6 @@ from .faces import (
     facet_hyperplane,
     facets,
     is_face,
-    simplex_halfspaces,
-    transport_to_transformed,
 )
 from .kp import (
     GorensteinOracle,
@@ -82,7 +79,6 @@ __all__ = [
     "GeneratorLattice",
     "GorensteinOracle",
     "HStarVector",
-    "Hyperplane",
     "InvalidParameters",
     "KernelBinomial",
     "MomentMatrix",
@@ -121,10 +117,8 @@ __all__ = [
     "moment_matrix",
     "r1_witness",
     "reverse_negate",
-    "simplex_halfspaces",
     "support_form",
     "transform",
     "translate",
-    "transport_to_transformed",
     "vertex",
 ]

@@ -26,7 +26,8 @@ from itertools import product
 
 from .core import CycloParams, InvalidParameters, build_params, canonical_form
 from .divdiff import bvec, cone_coefficients, facet_lattice_index, r1_witness, support_form
-from .faces import MOMENT, NotAFacet, facet_hyperplane, facets
+from .faces import NotAFacet, facet_hyperplane, facets
+from .intlinalg import dot
 from .kp import (
     NoWitnessExpected,
     RingReportKP,
@@ -35,7 +36,7 @@ from .kp import (
     gorenstein_witnesses,
 )
 from .kq import RingReportKQ, classify_kq, kernel_binomial
-from .lattice import BudgetExceeded, enumerate_points, h_star, instance, resolve_budget
+from .lattice import MOMENT, BudgetExceeded, enumerate_points, h_star, instance, resolve_budget
 
 SCHEMA_VERSION = 1
 
@@ -230,9 +231,11 @@ def _range_token(tok: str, d: int) -> int:
     tok = tok.strip()
     if tok == "d":
         return d
-    if tok.startswith("d+"):
-        return d + int(tok[2:])
-    return int(tok)
+    base, num = (d, tok[2:]) if tok.startswith("d+") else (0, tok)
+    try:
+        return base + int(num)
+    except ValueError:
+        raise InvalidParameters(f"a range bound is an integer, d or d+<integer>: {tok!r}") from None
 
 
 def _parse_range(text: str) -> tuple[str, str]:
@@ -375,7 +378,7 @@ def cmd_witness_r1(args) -> int:
         if k in facet:
             raise InvalidParameters("apex must lie outside the facet")
         x = r1_witness(facet, k, p)
-        value = sf.slack(x)
+        value = dot(sf, x)
         coeffs = cone_coefficients(x, sorted(facet + (k,)), p)
         in_cone = all(c >= 0 for c in coeffs)
         ok = value == 1 and in_cone
@@ -571,7 +574,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_tau(sys.argv[1:] if argv is None else list(argv)))
     try:
-        resolve_budget()  # a malformed CYCLOTORIC_BUDGET is a usage error for every command
+        # a malformed or negative budget is a usage error for every command
+        resolve_budget()
+        resolve_budget(getattr(args, "budget", None))
         return args.func(args)
     except (InvalidParameters, NotAFacet, NoWitnessExpected) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,22 +13,20 @@ two-point contraction recurrence, stack into unimodular bases along
 index prefixes, and vanish exactly when #S exceeds d+1.  They are
 the workhorse for two constructions: integer bases of a facet's lattice
 slice, and explicit cone points whose support-form value on a chosen
-facet is exactly 1.
+facet is exactly 1.  Checking those points needs no linear solve: the
+support form is the facet's integer normal, and the coordinates of a
+point over d+1 vertices are Lagrange ratios of root polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from .core import CycloParams, InvalidParameters, vertex
-from .faces import Hyperplane, facet_hyperplane
-from .intlinalg import (
-    hyperplane_lattice_index,
-    solve_exact,
-    vec_add,
-    vec_sub,
-)
+from .core import CycloParams, InvalidParameters, root_polynomial
+from .faces import facet_hyperplane
+from .intlinalg import dot, hyperplane_lattice_index, vec_add, vec_sub
 
 
 @lru_cache(maxsize=65536)
@@ -62,10 +60,10 @@ def bvec(s, p: CycloParams) -> tuple[int, ...]:
     return _bvec_cached(p, _check_index_set(s, p))
 
 
-def support_form(w, p: CycloParams) -> Hyperplane:
+def support_form(w, p: CycloParams) -> tuple[int, ...]:
     """Primitive linear form vanishing on a facet and positive on the rest of the cone.
 
-    It is the facet hyperplane, whose slack is the form's value.
+    It is the facet normal: the form's value at x is dot(normal, x).
     Primitivity makes the form surjective onto Z over the ambient integer
     lattice, so value 1 is attainable in principle.
     """
@@ -92,8 +90,7 @@ def facet_chain_basis(w, p: CycloParams) -> list[tuple[int, ...]]:
 
 def facet_lattice_index(w, p: CycloParams) -> int:
     """Index of the chain-basis span inside the facet plane's integer lattice (want 1)."""
-    sf = support_form(w, p)
-    return hyperplane_lattice_index(facet_chain_basis(w, p), sf.normal)
+    return hyperplane_lattice_index(facet_chain_basis(w, p), support_form(w, p))
 
 
 def r1_witness(w, k: int, p: CycloParams) -> tuple[int, ...]:
@@ -123,13 +120,19 @@ def r1_witness(w, k: int, p: CycloParams) -> tuple[int, ...]:
 
 
 def cone_coefficients(x, indices, p: CycloParams) -> tuple[Fraction, ...]:
-    """Exact coordinates of x over d+1 chosen vertex columns."""
+    """Exact coordinates of x over d+1 distinct vertex columns, in the order given.
+
+    The root polynomial q_i of the other chosen parameters vanishes on
+    every chosen vertex but v_i, where it takes the value
+    prod (tau_i - tau_j), so the coordinate on v_i is dot(q_i, x) over
+    that product: a Lagrange ratio, with no linear solve.
+    """
     idx = tuple(indices)
-    if len(idx) != p.d + 1:
-        raise InvalidParameters(f"expected d+1 = {p.d + 1} indices")
-    cols = [vertex(p, i) for i in idx]
-    rows = [[col[t] for col in cols] for t in range(p.d + 1)]
-    sol = solve_exact(rows, list(x))
-    if sol is None:
-        raise ArithmeticError("point is not in the span of the chosen vertices")
-    return sol
+    if not len(idx) == len(_check_index_set(idx, p)) == p.d + 1:
+        raise InvalidParameters(f"expected d+1 = {p.d + 1} distinct indices")
+    out = []
+    for i in idx:
+        rest = [p.tau[j - 1] for j in idx if j != i]
+        t = p.tau[i - 1]
+        out.append(Fraction(dot(root_polynomial(rest), x), prod(t - r for r in rest)))
+    return tuple(out)

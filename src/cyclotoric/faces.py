@@ -1,4 +1,4 @@
-"""Face combinatorics of the boundary complex and exact facet hyperplanes.
+"""Face combinatorics of the boundary complex and exact facet normals.
 
 The boundary complex of a cyclic polytope is determined by pure
 combinatorics: split a subset of {1..n} into end sets (runs touching 1
@@ -9,9 +9,10 @@ roots are W's parameters: its value on vertex j is that polynomial at
 tau_j, which vanishes exactly on W and, by the evenness rule, has one
 sign on all the other vertices.
 
-Hyperplanes carry the coordinate frame they live in ("moment" for raw
-vertex coordinates, "transformed" for the triangularised ones) and
-evaluators refuse to mix frames.
+A facet's half-space is that primitive integer normal alone, in moment
+coordinates: the slack of a cone point x is dot(normal, x), which is 0
+on the facet and positive inside.  `lattice.ScanFrame` is the one place
+that rewrites the normals in another coordinate frame.
 """
 
 from __future__ import annotations
@@ -20,18 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import (
-    CycloParams,
-    DeltaTable,
-    InvalidParameters,
-    inverse_transform_factor,
-    root_polynomial,
-    vertex,
-)
-from .intlinalg import dot, vector_gcd
-
-MOMENT = "moment"
-TRANSFORMED = "transformed"
+from .core import CycloParams, InvalidParameters, root_polynomial, vertex
+from .intlinalg import dot
 
 
 class NotAFacet(ValueError):
@@ -106,108 +97,24 @@ def facets(p: CycloParams) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Closed half-space with a primitive integer normal.
-
-    The right-hand side scales with the grading coordinate x0, so one
-    object tests membership in every dilation: a point z satisfies the
-    constraint iff slack(z) >= 0, with strict slack meaning the point is
-    off the hyperplane.
-    """
-
-    normal: tuple[int, ...]
-    rhs: int
-    sense: str  # ">=" or "<="
-    facet_indices: tuple[int, ...] | None
-    frame: str  # MOMENT or TRANSFORMED
-
-    def slack(self, x) -> int:
-        v = dot(self.normal, x) - self.rhs * x[0]
-        return v if self.sense == ">=" else -v
-
-
-def require_uniform_frame(hyperplanes, frame: str | None = None) -> str:
-    frames = {h.frame for h in hyperplanes}
-    if frame is not None:
-        frames.add(frame)
-    if len(frames) != 1:
-        raise ValueError(f"mixed coordinate frames: {sorted(frames)}")
-    return frames.pop()
-
-
-def _oriented_facet_normal(w: tuple[int, ...], p: CycloParams) -> tuple[int, ...]:
-    # monic, hence primitive; its value off W is a product of nonzero differences
-    normal = root_polynomial(p.tau[i - 1] for i in w)
-    j = next(j for j in range(1, p.n + 1) if j not in w)
-    return normal if dot(normal, vertex(p, j)) > 0 else tuple(-x for x in normal)
-
-
-def facet_hyperplane(w, p: CycloParams) -> Hyperplane:
-    """Primitive oriented supporting hyperplane of a facet, moment frame.
+def facet_hyperplane(w, p: CycloParams) -> tuple[int, ...]:
+    """Primitive inward normal of a facet's supporting hyperplane, moment frame.
 
     The normal is +-(the coefficients of the product of (t - tau_i) over
     i in W, constant term first), signed to be strictly positive on the
-    vertices off the facet; it vanishes on the facet's own.  rhs is 0
-    because these hyperplanes pass through the apex of the homogenised
-    cone.
+    vertices off the facet; it vanishes on the facet's own.  The
+    hyperplane passes through the apex of the homogenised cone, so the
+    slack of a point x is dot(normal, x) in every dilation.
     """
     return _facet_hyperplane_cached(tuple(sorted(w)), p)
 
 
 @lru_cache(maxsize=65536)
-def _facet_hyperplane_cached(w: tuple[int, ...], p: CycloParams) -> Hyperplane:
+def _facet_hyperplane_cached(w: tuple[int, ...], p: CycloParams) -> tuple[int, ...]:
     ft = face_type(w, p.n)
     if ft.r != p.d or ft.s != 0:
         raise NotAFacet(f"{w} is not a facet index set")
-    return Hyperplane(_oriented_facet_normal(w, p), 0, ">=", w, MOMENT)
-
-
-def simplex_halfspaces(p: CycloParams) -> list[Hyperplane]:
-    """The d+1 closed half-spaces cutting out the simplex case n = d+1.
-
-    These live in the transformed coordinates.  The first one bounds
-    above with a nonzero right-hand side; the others are homogeneous
-    lower bounds.  Half-space i supports the facet omitting vertex i,
-    and every normal ends in +-1, hence is primitive.
-    """
-    if p.n != p.d + 1:
-        raise InvalidParameters("closed-form half-spaces need n = d+1")
-    d = p.d
-    dt = DeltaTable(p)
-
-    def tail_product(i: int, t: int) -> int:
-        out = 1
-        for j in range(t + 2, d + 2):
-            out *= dt.delta(i, j)
-        return out
-
-    out = []
-    a1 = [0] * (d + 1)
-    for t in range(1, d + 1):
-        a1[t] = (-1) ** (t + 1) * tail_product(1, t)
-    rhs1 = 1
-    for j in range(2, d + 2):
-        rhs1 *= dt.delta(1, j)
-    out.append(Hyperplane(tuple(a1), rhs1, "<=", tuple(range(2, d + 2)), TRANSFORMED))
-    for i in range(2, d + 2):
-        a = [0] * (d + 1)
-        for t in range(i - 1, d + 1):
-            a[t] = (-1) ** (t - i + 1) * tail_product(i, t)
-        rest = tuple(x for x in range(1, d + 2) if x != i)
-        out.append(Hyperplane(tuple(a), 0, ">=", rest, TRANSFORMED))
-    for h in out:
-        if vector_gcd(h.normal) != 1:
-            raise ArithmeticError("half-space normal is not primitive")
-    return out
-
-
-def transport_to_transformed(h: Hyperplane, p: CycloParams) -> Hyperplane:
-    """Rewrite a moment-frame half-space in the triangularised coordinates."""
-    if h.frame != MOMENT:
-        raise ValueError("expected a moment-frame hyperplane")
-    uinv = inverse_transform_factor(p)
-    k = len(uinv)
-    normal = tuple(sum(h.normal[s] * uinv[s][t] for s in range(k)) for t in range(k))
-    return Hyperplane(normal, h.rhs, h.sense, h.facet_indices, TRANSFORMED)
-
+    # monic, hence primitive; its value off W is a product of nonzero differences
+    normal = root_polynomial(p.tau[i - 1] for i in w)
+    j = next(j for j in range(1, p.n + 1) if j not in w)
+    return normal if dot(normal, vertex(p, j)) > 0 else tuple(-x for x in normal)

@@ -24,9 +24,9 @@ from .divdiff import (
     r1_witness,
     support_form,
 )
-from .faces import MOMENT, TRANSFORMED, facets, require_uniform_frame, simplex_halfspaces
-from .intlinalg import solve_exact, vec_sub
-from .lattice import HStarVector, Instance, h_star, instance
+from .faces import facets
+from .intlinalg import dot, solve_exact, vec_sub
+from .lattice import MOMENT, TRANSFORMED, HStarVector, Instance, ScanFrame, h_star, instance
 
 
 def first_gap(
@@ -116,7 +116,7 @@ def r1_issues(p: CycloParams) -> list[str]:
             if k in w:
                 continue
             x = r1_witness(w, k, p)
-            val = sf.slack(x)
+            val = dot(sf, x)
             if val != 1:
                 issues.append(f"facet {w} apex {k}: support value {val} != 1")
             coeffs = cone_coefficients(x, sorted(w + (k,)), p)
@@ -213,9 +213,10 @@ def _oracle_needed(p: CycloParams, subset) -> WitnessReport:
 
 
 def _verified_report(pp: CycloParams, pts, subset, rev: bool) -> WitnessReport:
-    hps = simplex_halfspaces(pp)
-    require_uniform_frame(hps, TRANSFORMED)  # points below are transformed-frame
-    slacks = tuple(tuple(h.slack(pt) for h in hps) for pt in pts)
+    # the points are transformed-frame; facets run lex, so reversed, slack i
+    # is on the facet omitting vertex i.  A bare frame leaves the context alone.
+    normals = ScanFrame(pp, TRANSFORMED).normals[::-1]
+    slacks = tuple(tuple(dot(a, pt) for a in normals) for pt in pts)
     ok = all(s > 0 for row in slacks for s in row)
     return WitnessReport(tuple(pts), tuple(subset), pp, rev, False, slacks, ok)
 
@@ -268,7 +269,7 @@ def gorenstein_witnesses(p: CycloParams) -> WitnessReport:
     Chosen by a branch table on (d, n, gaps), possibly after reversing
     the parameter order or passing to a sub-simplex whose interior sits
     inside the original polytope's interior; every point is re-verified
-    to have strictly positive slack against all simplex half-spaces.
+    to have strictly positive slack on every facet of the sub-simplex.
     Families with no constructive pair return an empty report flagged
     oracle_needed; the one Gorenstein family raises.
     """

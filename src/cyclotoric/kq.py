@@ -16,10 +16,9 @@ from itertools import combinations
 from math import prod
 
 from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix
-from .faces import MOMENT
 from .intlinalg import lattice_contains, mat_vec, primitive
 from .kp import first_gap
-from .lattice import BudgetExceeded, instance
+from .lattice import MOMENT, BudgetExceeded, instance
 
 
 @dataclass(frozen=True)

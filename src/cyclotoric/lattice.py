@@ -24,6 +24,12 @@ fast with BudgetExceeded instead.  The default is 10**8 candidates and
 can be overridden per call or through the CYCLOTORIC_BUDGET environment
 variable.
 
+A frame is "moment" (raw vertex coordinates) or "transformed" (the
+triangularised ones), and this module alone selects one.  Facet normals
+are plain primitive integer tuples from `faces`, in moment coordinates;
+`ScanFrame.normals` is the one place that rewrites them in the
+transformed frame, through the same matrix that maps scan points back.
+
 Every stage reads one `Instance` context: each frame's scan data (vertex
 columns, facet normals, the Hermite rows of the vertex lattice) and a
 memo that enumerates each degree slice, full or vertex-lattice, once
@@ -40,16 +46,11 @@ from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .core import CycloParams, InvalidParameters, inverse_transform_factor, transform, vertex
-from .faces import (
-    MOMENT,
-    TRANSFORMED,
-    facet_hyperplane,
-    facets,
-    require_uniform_frame,
-    transport_to_transformed,
-)
-from .intlinalg import hnf
+from .faces import facet_hyperplane, facets
+from .intlinalg import hnf, mat_mul
 
+MOMENT = "moment"
+TRANSFORMED = "transformed"
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "CYCLOTORIC_BUDGET"
 
@@ -59,15 +60,20 @@ class BudgetExceeded(RuntimeError):
 
 
 def resolve_budget(budget: int | None = None) -> int:
+    """The budget given, else CYCLOTORIC_BUDGET, else the default; a negative one is refused."""
     if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidParameters(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+        cap, name = int(budget), "the budget"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            cap, name = int(env), BUDGET_ENV_VAR
+        except ValueError:
+            raise InvalidParameters(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise InvalidParameters(f"{name} must be nonnegative, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -110,12 +116,14 @@ class ScanFrame:
 
     @cached_property
     def normals(self) -> tuple[tuple[int, ...], ...]:
-        """The primitive inward facet normals, in facet order."""
-        hps = [facet_hyperplane(w, self.p) for w in facets(self.p)]
-        if self.name == TRANSFORMED:
-            hps = [transport_to_transformed(h, self.p) for h in hps]
-        require_uniform_frame(hps, self.name)
-        return tuple(h.normal for h in hps)
+        """The primitive inward facet normals, in facet order.
+
+        A scan point z has moment coordinates L.z for the rows L of
+        `to_moment`, so a moment normal a has slack a.(L.z) = (a.L).z: the
+        scan normals are a.L, and L is unimodular, so they stay primitive.
+        """
+        normals = tuple(facet_hyperplane(w, self.p) for w in facets(self.p))
+        return normals if self.to_moment is None else mat_mul(normals, self.to_moment)
 
     @cached_property
     def to_moment(self) -> tuple[tuple[int, ...], ...] | None:

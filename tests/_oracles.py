@@ -24,11 +24,11 @@ from math import gcd
 
 from cyclotoric.core import CycloParams, DeltaTable, InvalidParameters, vertex
 from cyclotoric.divdiff import _check_index_set, bvec
-from cyclotoric.faces import MOMENT, is_face
+from cyclotoric.faces import is_face
 from cyclotoric.intlinalg import dot, primitive, vec_sub
 from cyclotoric.kp import r1_issues
 from cyclotoric.kq import generator_lattice
-from cyclotoric.lattice import BudgetExceeded, Instance, instance
+from cyclotoric.lattice import MOMENT, BudgetExceeded, Instance, instance
 
 
 def brute_facets(p: CycloParams) -> tuple[tuple[int, ...], ...]:

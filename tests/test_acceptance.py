@@ -19,7 +19,7 @@ from math import comb
 from cyclotoric.core import build_params, moment_matrix
 from cyclotoric.divdiff import bvec, facet_lattice_index, r1_witness, support_form
 from cyclotoric.faces import facet_hyperplane, facets
-from cyclotoric.intlinalg import det, mat_vec
+from cyclotoric.intlinalg import det, dot, mat_vec
 from cyclotoric.kp import (
     classify_kp,
     gorenstein_oracle,
@@ -94,8 +94,8 @@ def test_criterion_03_codimension_one_witnesses():
                     if k in w:
                         continue
                     x = r1_witness(w, k, p)
-                    assert sf.slack(x) == 1, (d, tau, w, k)
-                    assert all(h.slack(x) >= 0 for h in hps), (d, tau, w, k)
+                    assert dot(sf, x) == 1, (d, tau, w, k)
+                    assert all(dot(h, x) >= 0 for h in hps), (d, tau, w, k)
 
 
 def test_criterion_04_gorenstein_positive_cases():

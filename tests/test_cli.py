@@ -218,6 +218,7 @@ class TestWitnessCommands:
         assert "x=(1, 1, 2)" in res.stdout
         assert "sigma=1" in res.stdout
         assert "in_cone=true" in res.stdout
+        assert "coefficients=['1/3', '1/2', '1/6']" in res.stdout
         assert res.stdout.strip().endswith("PASS")
 
     def test_r1_all_apexes(self):
@@ -239,7 +240,7 @@ class TestWitnessCommands:
     def test_gorenstein_witness_pair(self):
         res = run_cli("witness", "gorenstein", "--d", "2", "--tau", "0,2,4")
         assert res.returncode == 0
-        assert "point (1, 1, 1)" in res.stdout
+        assert "point (1, 1, 1): slacks=[5, 1, 1]" in res.stdout
         assert "point (1, 2, 2)" in res.stdout
         assert "not_gorenstein" in res.stdout
         assert res.stdout.strip().endswith("PASS")
@@ -307,6 +308,24 @@ def test_env_budget_override():
     assert res.returncode == 3
 
 
+def test_negative_budget_flag_is_a_usage_error():
+    res = run_cli("classify", "--d", "2", "--tau", "0,1,3", "--ring", "kp", "--budget", "-1")
+    assert res.returncode == 2
+    assert "budget must be nonnegative" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_env_budget_negative_is_a_usage_error():
+    import os
+
+    env = dict(os.environ)
+    env["CYCLOTORIC_BUDGET"] = "-1"
+    res = run_cli("classify", "--d", "2", "--tau", "0,1,3", "--ring", "kp", env=env)
+    assert res.returncode == 2
+    assert "CYCLOTORIC_BUDGET must be nonnegative" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_env_budget_malformed_is_a_usage_error():
     import os
 
@@ -334,6 +353,13 @@ def test_env_budget_malformed_is_a_usage_error():
 
 JUNK = st.sampled_from(["", "x", ",", "1,,2", "1.5", "-", "--json"])
 SMALL = st.integers(-1, 3)
+RANGE_JUNK = st.sampled_from(["", "x", "d+", "d+x", "1.5", "d-1"])
+
+
+def _range(draw, lows, highs) -> str:
+    """A scan range `lo..hi` or one bound; one bound in six is junk."""
+    lo, hi = (draw(RANGE_JUNK if draw(st.integers(0, 5)) == 0 else s) for s in (lows, highs))
+    return f"{lo}..{hi}" if draw(st.booleans()) else lo
 
 
 def _int_list(draw, lo: int, hi: int, min_size: int = 0) -> str:
@@ -348,21 +374,32 @@ def _int_list(draw, lo: int, hi: int, min_size: int = 0) -> str:
 
 @st.composite
 def cli_argv(draw):
-    """A small command line of every subcommand except `scan`, some of them mangled.
+    """A small command line of every subcommand, some of them mangled.
 
     Options are written `--name=value`, so a value that starts with "-" is not
-    read as an option.
+    read as an option.  A scan stays serial, over d <= 2, n <= d+2 and gaps
+    <= 2, so it starts no worker process and explores no large family.
     """
     command = draw(st.sampled_from(
         ["classify", "facets", "bvec", "kernel", "hstar", "points", "witness r1",
-         "witness gorenstein"]
+         "witness gorenstein", "scan"]
     ))
     d = draw(st.integers(0, 3))
     opts = {"d": d, "tau": _int_list(draw, -3, 6, min_size=d + 1)}
     flags = []
-    if command in ("classify", "hstar", "points", "witness gorenstein"):
+    if command in ("classify", "hstar", "points", "witness gorenstein", "scan"):
         opts["budget"] = draw(st.integers(-1, 10**5))
-    if command == "classify":
+    if command == "scan":
+        opts = {"d": _range(draw, st.sampled_from(["1", "2"]), st.sampled_from(["1", "2"])),
+                "n": _range(draw, st.sampled_from(["d", "d+1", "2", "3"]),
+                            st.sampled_from(["d+1", "d+2", "3"])),
+                "max-gap": draw(st.integers(1, 2)),
+                "ring": draw(st.sampled_from(["kp", "kq", "both"])),
+                "budget": opts["budget"]}
+        if draw(st.booleans()):
+            opts["max-degree"] = draw(SMALL)
+        flags += draw(st.lists(st.just("--oracle"), max_size=1))
+    elif command == "classify":
         opts["ring"] = draw(st.sampled_from(["kp", "kq", "both"]))
         if draw(st.booleans()):
             opts["max-degree"] = draw(SMALL)
@@ -387,6 +424,8 @@ def cli_argv(draw):
         name = argv[i].split("=", 1)[0]
         junk = draw(JUNK)
         argv[i] = f"{name}={junk}" if name.startswith("--") and draw(st.booleans()) else junk
+    if command == "scan":
+        argv.append("--threads=1")  # after the mangling, which must not unset it
     return argv
 
 

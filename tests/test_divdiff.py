@@ -17,7 +17,7 @@ from cyclotoric.divdiff import (
     support_form,
 )
 from cyclotoric.faces import NotAFacet, facet_hyperplane, facets
-from cyclotoric.intlinalg import det
+from cyclotoric.intlinalg import det, dot
 
 from _oracles import basis_matrix, bvec_alternating, bvec_recursion_check
 from _strategies import cyclo_params, params_with_subset
@@ -118,8 +118,8 @@ class TestBasisMatrix:
 class TestSupportForm:
     def test_examples(self):
         p = build_params(2, [0, 1, 3])
-        assert support_form((2, 3), p).normal == (3, -4, 1)
-        assert support_form((1, 2), p).normal == (0, -1, 1)
+        assert support_form((2, 3), p) == (3, -4, 1)
+        assert support_form((1, 2), p) == (0, -1, 1)
 
     @given(cyclo_params(max_d=4, max_n=7, max_gap=3))
     @settings(max_examples=30, deadline=None)
@@ -127,7 +127,7 @@ class TestSupportForm:
         for w in facets(p):
             sf = support_form(w, p)
             for i in range(1, p.n + 1):
-                val = sf.slack(vertex(p, i))
+                val = dot(sf, vertex(p, i))
                 assert (val == 0) == (i in w)
                 assert val >= 0
 
@@ -153,7 +153,7 @@ class TestFacetChainBasis:
             sf = support_form(w, p)
             vecs = facet_chain_basis(w, p)
             for c in vecs:
-                assert sf.slack(c) == 0
+                assert dot(sf, c) == 0
             if p.d >= 1:
                 # exact coordinates over the facet vertices are >= 0
                 from cyclotoric.intlinalg import solve_exact
@@ -176,12 +176,12 @@ class TestR1Witness:
         p = build_params(2, [0, 1, 3])
         x = r1_witness((2, 3), 1, p)
         assert x == (1, 1, 2)
-        assert support_form((2, 3), p).slack(x) == 1
+        assert dot(support_form((2, 3), p), x) == 1
 
     def test_other_facet(self):
         p = build_params(2, [0, 1, 3])
         x = r1_witness((1, 2), 3, p)
-        assert support_form((1, 2), p).slack(x) == 1
+        assert dot(support_form((1, 2), p), x) == 1
         coeffs = cone_coefficients(x, (1, 2, 3), p)
         assert all(c >= 0 for c in coeffs)
 
@@ -203,8 +203,8 @@ class TestR1Witness:
                 if k in w:
                     continue
                 x = r1_witness(w, k, p)
-                assert sf.slack(x) == 1
-                assert all(h.slack(x) >= 0 for h in hps)
+                assert dot(sf, x) == 1
+                assert all(dot(h, x) >= 0 for h in hps)
 
 
 class TestConeCoefficients:
@@ -219,5 +219,8 @@ class TestConeCoefficients:
         assert combo == [1, 1, 2]
 
     def test_wrong_arity(self):
-        with pytest.raises(InvalidParameters):
-            cone_coefficients((1, 1, 2), (1, 2), build_params(2, [0, 1, 3]))
+        p = build_params(2, [0, 1, 3])
+        # too few; index 0 (not a wraparound to tau_n); a repeat; past n
+        for idx in ((1, 2), (0, 1, 2), (1, 1, 2), (1, 2, 4)):
+            with pytest.raises(InvalidParameters):
+                cone_coefficients((1, 1, 2), idx, p)

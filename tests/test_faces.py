@@ -1,4 +1,4 @@
-"""Subset decomposition, face predicates, facet normals, and half-spaces."""
+"""Subset decomposition, face predicates, and facet normals in both frames."""
 
 import random
 
@@ -8,20 +8,15 @@ from hypothesis import strategies as st
 
 from cyclotoric.core import InvalidParameters, build_params, transform, vertex
 from cyclotoric.faces import (
-    MOMENT,
-    TRANSFORMED,
-    Hyperplane,
     NotAFacet,
     decompose,
     face_type,
     facet_hyperplane,
     facets,
     is_face,
-    require_uniform_frame,
-    simplex_halfspaces,
-    transport_to_transformed,
 )
-from cyclotoric.intlinalg import dot, primitive, vector_gcd
+from cyclotoric.intlinalg import dot, mat_mul, primitive, vector_gcd
+from cyclotoric.lattice import MOMENT, TRANSFORMED, ScanFrame
 
 from _oracles import brute_facets, brute_is_face, gap_family, minors_normal, nonface_partitions
 from _strategies import cyclo_params
@@ -139,17 +134,16 @@ class TestFacetHyperplane:
     def test_oriented_primitive_normal(self):
         p = build_params(2, [0, 1, 3])
         h = facet_hyperplane((2, 3), p)
-        assert h.normal == (3, -4, 1)
-        assert h.rhs == 0 and h.sense == ">=" and h.frame == MOMENT
-        assert dot(h.normal, vertex(p, 1)) == 3
+        assert h == (3, -4, 1)
+        assert dot(h, vertex(p, 1)) == 3
 
     def test_low_end_facet(self):
         h = facet_hyperplane((1, 2), build_params(2, [0, 1, 3]))
-        assert h.normal == (0, -1, 1)
+        assert h == (0, -1, 1)
 
     def test_segment_case(self):
         h = facet_hyperplane((1,), build_params(1, [0, 2]))
-        assert h.normal == (0, 1) and h.rhs == 0
+        assert h == (0, 1)
 
     def test_rejects_non_facet(self):
         with pytest.raises(NotAFacet):
@@ -160,9 +154,9 @@ class TestFacetHyperplane:
     def test_zero_on_facet_positive_off(self, p):
         for w in facets(p):
             h = facet_hyperplane(w, p)
-            assert vector_gcd(h.normal) == 1
+            assert vector_gcd(h) == 1
             for i in range(1, p.n + 1):
-                val = dot(h.normal, vertex(p, i))
+                val = dot(h, vertex(p, i))
                 assert (val == 0) == (i in w)
                 assert val >= 0
 
@@ -174,33 +168,31 @@ class TestFacetHyperplane:
                 off = next(i for i in range(1, p.n + 1) if i not in w)
                 if dot(m, vertex(p, off)) < 0:
                     m = tuple(-x for x in m)
-                assert facet_hyperplane(w, p).normal == m
+                assert facet_hyperplane(w, p) == m
 
 
 class TestSimplexHalfspaces:
+    """Transformed-frame normals of a simplex, reversed: normal i omits vertex i."""
+
+    @staticmethod
+    def halfspaces(p):
+        return ScanFrame(p, TRANSFORMED).normals[::-1]
+
     def test_dimension_two_exact(self):
-        hps = simplex_halfspaces(build_params(2, [0, 1, 3]))
-        assert [(h.normal, h.rhs, h.sense) for h in hps] == [
-            ((0, 3, -1), 3, "<="),
-            ((0, 2, -1), 0, ">="),
-            ((0, 0, 1), 0, ">="),
-        ]
-        assert all(h.frame == TRANSFORMED for h in hps)
+        # homogeneous: the bound 3*x0 >= 3*x1 - x2 has its right-hand side in x0
+        hps = self.halfspaces(build_params(2, [0, 1, 3]))
+        assert hps == ((3, -3, 1), (0, 2, -1), (0, 0, 1))
 
     def test_dimension_three_third_row(self):
         p = build_params(3, [0, 2, 3, 7])
-        h3 = simplex_halfspaces(p)[2]
+        h3 = self.halfspaces(p)[2]
         # lower bound tying coordinates 2 and 3 through the last gap
-        assert h3.normal == (0, 0, 4, -1) and h3.rhs == 0 and h3.sense == ">="
+        assert h3 == (0, 0, 4, -1)
 
     def test_tail_entry_is_unit(self):
         for d, tau in [(2, [0, 1, 3]), (3, [0, 1, 2, 3]), (4, [0, 2, 3, 5, 8])]:
-            for h in simplex_halfspaces(build_params(d, tau)):
-                assert abs(next(x for x in reversed(h.normal) if x)) == 1
-
-    def test_requires_simplex(self):
-        with pytest.raises(InvalidParameters):
-            simplex_halfspaces(build_params(2, [0, 1, 2, 3]))
+            for h in self.halfspaces(build_params(d, tau)):
+                assert abs(next(x for x in reversed(h) if x)) == 1
 
     @given(cyclo_params(max_d=4, max_n=5, max_gap=3))
     @settings(max_examples=40, deadline=None)
@@ -208,46 +200,36 @@ class TestSimplexHalfspaces:
         if p.n != p.d + 1:
             p = build_params(p.d, p.tau[: p.d + 1])
         tm = transform(p)
-        for h in simplex_halfspaces(p):
+        for omitted, h in enumerate(self.halfspaces(p), start=1):
             for i in range(1, p.n + 1):
-                slack = h.slack(tm.column(i))
+                slack = dot(h, tm.column(i))
                 assert slack >= 0
-                assert (slack == 0) == (i in h.facet_indices)
+                assert (slack == 0) == (i != omitted)
 
     @given(cyclo_params(max_d=4, max_n=5, max_gap=3))
     @settings(max_examples=40, deadline=None)
     def test_matches_transported_facet_normals(self, p):
+        # a transformed point is U.z for the unimodular factor U, so a.U is the moment normal
         if p.n != p.d + 1:
             p = build_params(p.d, p.tau[: p.d + 1])
-        for h in simplex_halfspaces(p):
-            cone_normal = (
-                tuple(
-                    r - a for r, a in zip((h.rhs,) + (0,) * p.d, h.normal, strict=True)
-                )
-                if h.sense == "<="
-                else h.normal
-            )
-            transported = transport_to_transformed(
-                facet_hyperplane(h.facet_indices, p), p
-            )
-            assert cone_normal == transported.normal
+        u = transform(p).unimodular_factor
+        for omitted, h in enumerate(self.halfspaces(p), start=1):
+            w = tuple(i for i in range(1, p.n + 1) if i != omitted)
+            assert mat_mul([h], u) == (facet_hyperplane(w, p),)
 
 
-class TestFrames:
-    def test_mixed_frames_rejected(self):
-        a = Hyperplane((0, 1), 0, ">=", None, MOMENT)
-        b = Hyperplane((0, 1), 0, ">=", None, TRANSFORMED)
-        with pytest.raises(ValueError, match="mixed"):
-            require_uniform_frame([a, b])
-        assert require_uniform_frame([a]) == MOMENT
-        with pytest.raises(ValueError, match="mixed"):
-            require_uniform_frame([a], TRANSFORMED)
-
-    def test_transport_requires_moment_frame(self):
-        p = build_params(2, [0, 1, 3])
-        h = simplex_halfspaces(p)[1]
-        with pytest.raises(ValueError):
-            transport_to_transformed(h, p)
+class TestFrameNormals:
+    @given(cyclo_params(max_d=4, max_n=7, max_gap=3))
+    @settings(max_examples=40, deadline=None)
+    def test_primitive_zero_on_the_facet_positive_off(self, p):
+        # these three properties determine the normal of each facet
+        for name in (MOMENT, TRANSFORMED):
+            frame = ScanFrame(p, name)
+            for w, a in zip(facets(p), frame.normals, strict=True):
+                assert vector_gcd(a) == 1, (p, name, w)
+                for i, col in enumerate(frame.columns, start=1):
+                    assert (dot(a, col) == 0) == (i in w), (p, name, w, i)
+                    assert dot(a, col) >= 0, (p, name, w, i)
 
 
 class TestNonfacePartitions:

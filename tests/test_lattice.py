@@ -10,6 +10,7 @@ import cyclotoric.lattice as lattice_mod
 
 from cyclotoric.core import CycloParams, InvalidParameters, build_params
 from cyclotoric.faces import facet_hyperplane, facets
+from cyclotoric.intlinalg import dot
 from cyclotoric.lattice import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -141,7 +142,7 @@ class TestEnumeratePoints:
 
         hps = [facet_hyperplane(w, p) for w in facets(p)]
         for z in full:
-            strict = all(h.slack(z) > 0 for h in hps)
+            strict = all(dot(h, z) > 0 for h in hps)
             assert strict == (z in interior)
 
     def test_vertices_always_enumerated(self):
@@ -174,7 +175,7 @@ class TestAgainstNaiveBoxScan:
             naive = sorted(
                 (k,) + rest
                 for rest in iproduct(*ranges)
-                if all(h.slack((k,) + rest) >= (1 if interior else 0) for h in hps)
+                if all(dot(h, (k,) + rest) >= (1 if interior else 0) for h in hps)
             )
             assert list(enumerate_points(p, k, interior)) == naive
 
@@ -200,7 +201,7 @@ class TestVertexLatticeScan:
                             )
                     continue
                 members = [z for z in full if lat.contains(z)]
-                strict = [z for z in members if all(h.slack(z) > 0 for h in hps)]
+                strict = [z for z in members if all(dot(h, z) > 0 for h in hps)]
                 for interior, expected in ((False, members), (True, strict)):
                     got = enumerate_points(
                         p, k, interior, frame=frame, budget=budget, vertex_lattice=True
@@ -391,14 +392,24 @@ class TestInstance:
 
             return wrapped
 
-        for name in ("transport_to_transformed", "hnf"):
-            monkeypatch.setattr(lattice_mod, name, counting(name, getattr(lattice_mod, name)))
+        monkeypatch.setattr(lattice_mod, "hnf", counting("hnf", lattice_mod.hnf))
+        # the one frame change of the facet normals, counted per instance: each
+        # instance has its own map to moment coordinates
+        frame_changes = Counter()
+        mat_mul = lattice_mod.mat_mul
+
+        def counting_mat_mul(normals, to_moment):
+            frame_changes[to_moment] += 1
+            return mat_mul(normals, to_moment)
+
+        monkeypatch.setattr(lattice_mod, "mat_mul", counting_mat_mul)
         lattice_mod.instance.cache_clear()
         p = build_params(2, [0, 1, 2, 4, 6])
         kp_mod.classify_kp(p, oracle=True)
         report = kq_mod.classify_kq(p, use_bruteforce=True)
         assert report.evidence["kind"] == "bruteforce_witness"
-        assert calls["transport_to_transformed"] == len(facets(p))
+        # p itself, and the sub-triangle (1, 4, 5) its witness pair is checked in
+        assert sorted(frame_changes.values()) == [1, 1]
         assert calls["hnf"] == 1
 
     def test_dropped_context_is_freed_at_once(self):
@@ -425,4 +436,4 @@ class TestInstance:
         ctx = lattice_mod.instance(p)
         hps = [facet_hyperplane(w, p) for w in facets(p)]
         for z in list(ctx.slice(2)) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
-            assert in_cone(ctx, z) == all(h.slack(z) >= 0 for h in hps)
+            assert in_cone(ctx, z) == all(dot(h, z) >= 0 for h in hps)
