@@ -63,7 +63,6 @@ from .kq import (
 from .lattice import (
     BudgetExceeded,
     HStarVector,
-    ehrhart_counts,
     enumerate_points,
     h_star,
     interior_count,
@@ -97,7 +96,6 @@ __all__ = [
     "cone_coefficients",
     "decompose",
     "divisibility_test",
-    "ehrhart_counts",
     "enumerate_points",
     "face_type",
     "facet_chain_basis",

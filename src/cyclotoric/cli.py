@@ -20,7 +20,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -278,6 +277,8 @@ def cmd_scan(args) -> int:
     # the fork start method forks every worker at the first submit, so size the pool
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_scan_worker, tasks))
     else:

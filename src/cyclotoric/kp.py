@@ -1,10 +1,11 @@
 """Classification of the full lattice-point semigroup ring of a cyclic polytope.
 
-Normality is decided by exhaustive low-degree membership checks: a cone
-lattice point of degree above d always splits off a whole vertex, so
-degrees 2..d settle the question.  Each degree is checked against the
-one below a fiber at a time: the points that share all but the last
-coordinate form one run, and one generator covers an interval of it.
+Normality is decided by exhaustive low-degree membership checks: a
+lattice polytope of dimension d is generated in degrees below d
+(Bruns, Gubeladze & Trung), so degrees 2..d-1 settle the question.
+Each degree is checked against the one below a fiber at a time: the
+points that share all but the last coordinate form one run, and one
+generator covers an interval of it.
 Codimension-one regularity is checked constructively on every facet
 through explicit lattice bases and value-1 points.  Gorensteinness is
 decided twice: a closed-form predicate on (d, n, gaps), and an
@@ -29,6 +30,18 @@ from .intlinalg import dot, solve_exact, vec_sub
 from .lattice import MOMENT, TRANSFORMED, HStarVector, Instance, ScanFrame, h_star, instance
 
 
+def normality_bound(d: int) -> int:
+    """Degree up to which a normality scan is exhaustive in dimension d: max(1, d-1).
+
+    A lattice polytope of dimension d has kP = (k-1)P + P on lattice
+    points for every k >= d (Bruns, Gubeladze & Trung, J. reine angew.
+    Math. 485 (1997), Thm 1.3.3), so its points of degree d and above
+    add no generator.  Inside the vertex lattice the same holds once
+    degree 1 has no gap: the vertices are then its only points in P.
+    """
+    return max(1, d - 1)
+
+
 def first_gap(
     ctx: Instance, gens, bound: int, vertex_lattice: bool = False, budget: int | None = None
 ) -> tuple[int, ...] | None:
@@ -44,16 +57,19 @@ def first_gap(
     fiber from interval to interval.  Degree 0 is the one point at the
     origin, so at degree 1 the generators cover themselves alone.
     Neighbouring fibers tend to step down along the same generator, so
-    the one that covered last is tried first and the others, in the
-    order of `gens`, only after it misses; the first value no generator
-    covers is the answer whatever that order.  With vertex_lattice the
-    slices hold only the points of the lattice the vertices span, and no
-    other point is enumerated.  Each slice is requested under `budget`.
+    each interval tries the generator that covered last first, then the
+    ones after it in the order of `gens`, wrapping around to those before
+    it; the first value no generator covers is the answer whatever that
+    order.  With vertex_lattice the slices hold only the points of the
+    lattice the vertices span, and no other point is enumerated.  Each
+    slice is requested under `budget`.
     """
     if bound < 0:
         raise InvalidParameters("the degree bound must be nonnegative")
+    n = len(gens)
+    ring = tuple(gens) * 2  # a walk from any start reads n generators in a row
     below = {(0,) * len(gens[0][0]): (0, 0)}
-    last = gens[0]
+    won = 0  # index of the generator that covered last
     for k in range(1, bound + 1):
         pts = ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget)
         step, kept = pts.step, {}
@@ -61,18 +77,14 @@ def first_gap(
             if k < bound:  # no runs for the last degree: nothing looks them up
                 kept[head] = (x, end)
             while x <= end:
-                gh, lo, hi = last
-                run = below.get(vec_sub(head, gh))
-                if run is None or not run[0] + lo <= x <= run[1] + hi:
-                    for g in gens:
-                        if g is not last:
-                            gh, lo, hi = g
-                            run = below.get(vec_sub(head, gh))
-                            if run is not None and run[0] + lo <= x <= run[1] + hi:
-                                last = g
-                                break
-                    else:
-                        return head + (x,)
+                for j in range(won, won + n):
+                    gh, lo, hi = ring[j]
+                    run = below.get(vec_sub(head, gh))
+                    if run is not None and run[0] + lo <= x <= run[1] + hi:
+                        won = j % n
+                        break
+                else:
+                    return head + (x,)
                 x = run[1] + hi + step
         below = kept
     return None
@@ -84,18 +96,15 @@ def is_normal_kp(
     """Exhaustive normality check; returns (flag, first failing point or None).
 
     Degrees 1..max_degree are scanned by `first_gap`, one fiber at a
-    time.  The default bound d is exhaustive: any cone lattice point of
-    degree above d has a vertex coefficient >= 1 in some conic
-    combination, so peeling whole vertices reduces every membership
-    question to degree <= d.  The generators are the fibers of degree 1,
-    those holding a vertex first: in slice order a fiber takes about 2.5x
-    the lookups.
+    time.  The default bound `normality_bound(d)` = max(1, d-1) is
+    exhaustive, so the slice of degree d, the largest one a default
+    check could need, is never enumerated.  The generators are the
+    fibers of degree 1 in slice order, which the walk from the last
+    winner follows at degree 1 itself.
     """
-    bound = p.d if max_degree is None else max_degree
+    bound = normality_bound(p.d) if max_degree is None else max_degree
     ctx = instance(p)
-    heads = {v[:-1] for v in ctx.vertices}
-    gens = sorted(ctx.slice(1, budget=budget).fibers, key=lambda f: f[0] not in heads)
-    witness = first_gap(ctx, gens, bound, budget=budget)
+    witness = first_gap(ctx, ctx.slice(1, budget=budget).fibers, bound, budget=budget)
     return witness is None, witness
 
 
@@ -351,14 +360,17 @@ def classify_kp(
     mismatch (or a failed witness verification) lands in the notes as a
     (kind, detail) pair; notes are findings, not errors.  On a normal
     instance the h* symmetry is a third route, compared with the exact one.
-    A `max_degree` below d that finds no gap leaves those four flags None,
-    unless the oracle is on and needs the full scan anyway: that is when
-    an integer candidate generator exists, and its verdict is reported.
+    A `max_degree` below `normality_bound(d)` that finds no gap leaves
+    those four flags None, unless the oracle is on and needs the full
+    scan anyway: that is when an integer candidate generator exists, and
+    its verdict is reported.  Any `max_degree` at or above that bound is
+    a proof.
     """
-    if oracle and max_degree in range(p.d) and interior_generator_candidate(p) is not None:
+    bound = normality_bound(p.d)
+    if oracle and max_degree in range(bound) and interior_generator_candidate(p) is not None:
         max_degree = None  # the oracle scans in full here anyway
     normal, witness = is_normal_kp(p, max_degree=max_degree, budget=budget)
-    if normal and max_degree is not None and max_degree < p.d:
+    if normal and max_degree is not None and max_degree < bound:
         normal = None
     issues = r1_issues(p)
     h = h_star(p, budget=budget)

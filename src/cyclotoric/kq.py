@@ -17,7 +17,7 @@ from math import prod
 
 from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix
 from .intlinalg import lattice_contains, mat_vec, primitive
-from .kp import first_gap
+from .kp import first_gap, normality_bound
 from .lattice import MOMENT, BudgetExceeded, instance
 
 
@@ -141,16 +141,18 @@ def is_normal_kq_bruteforce(
 ) -> tuple[str, tuple[int, ...] | None]:
     """Search for a cone-and-lattice point missed by the vertex semigroup.
 
-    Returns ("normal" | "not_normal" | "inconclusive", witness).  Degrees
-    above d are redundant by the usual vertex-peeling argument, so the
-    default bound is exhaustive; hitting the enumeration budget downgrades
-    the verdict to inconclusive, never to a wrong answer.  `first_gap`
-    scans degrees 1..max_degree over vertex-lattice slices, which the
-    enumeration builds by stepping each coordinate through its residue
-    class, so no point outside the lattice is visited; the budget still
-    caps the full bounding box.
+    Returns ("normal" | "not_normal" | "inconclusive", witness).  The
+    default bound `normality_bound(d)` = max(1, d-1) is exhaustive: once
+    degree 1 has no gap the vertices are the only points of their lattice
+    in P, so P is a lattice polytope there and is generated in degrees
+    below d (Bruns, Gubeladze & Trung).  Hitting the enumeration budget
+    downgrades the verdict to inconclusive, never to a wrong answer.
+    `first_gap` scans degrees 1..max_degree over vertex-lattice slices,
+    which the enumeration builds by stepping each coordinate through its
+    residue class, so no point outside the lattice is visited; the budget
+    still caps the full bounding box.
     """
-    bound = p.d if max_degree is None else max_degree
+    bound = normality_bound(p.d) if max_degree is None else max_degree
     ctx = instance(p)
     try:
         gens = tuple((v[:-1], v[-1], v[-1]) for v in ctx.vertices)
@@ -194,11 +196,11 @@ def classify_kq(
     survives is reported unknown rather than guessed.
 
     The brute force proves "yes" only when it ran to the full bound
-    (`max_degree` None or at least d); the evidence kind is then
-    "bruteforce_exhaustive".  Otherwise its verdict stays "unknown",
-    with evidence {"kind": "none", "bruteforce": ...}: "normal" means
-    no gap below a lowered `max_degree`, and "inconclusive" a budget
-    stop.  Without brute force the evidence is {"kind": "none"}.
+    (`max_degree` None or at least `normality_bound(d)` = max(1, d-1));
+    the evidence kind is then "bruteforce_exhaustive".  Otherwise its
+    verdict stays "unknown", with evidence {"kind": "none", "bruteforce":
+    ...}: "normal" means no gap below a lowered `max_degree`, and
+    "inconclusive" a budget stop.  Without brute force the evidence is {"kind": "none"}.
     """
     ci = p.n == p.d + 2
     kb = kernel_binomial(p) if ci else None
@@ -241,7 +243,7 @@ def classify_kq(
                 {"kind": "bruteforce_witness", "witness": list(witness)},
                 None,
             )
-        if verdict == "normal" and (max_degree is None or max_degree >= p.d):
+        if verdict == "normal" and (max_degree is None or max_degree >= normality_bound(p.d)):
             return RingReportKQ(
                 "general", "yes", False, {"kind": "bruteforce_exhaustive"}, None
             )

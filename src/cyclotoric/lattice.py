@@ -43,6 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb, prod
 
 from .core import CycloParams, InvalidParameters, inverse_transform_factor, transform, vertex
@@ -309,14 +310,6 @@ def enumerate_points(
     return _scan_box(k, lows, highs, scan.normals, eps, basis, scan.to_moment)
 
 
-def ehrhart_counts(p: CycloParams, k_max: int, *, budget: int | None = None) -> list[int]:
-    """Lattice-point counts of the dilations 0..k_max."""
-    if k_max < 0:
-        raise InvalidParameters("k_max must be nonnegative")
-    ctx = instance(p)
-    return [len(ctx.slice(k, budget=budget)) for k in range(k_max + 1)]
-
-
 def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:
     return len(instance(p).slice(k, True, budget=budget))
 
@@ -339,16 +332,48 @@ class HStarVector:
         return coeffs == coeffs[::-1]
 
 
-def h_star(p: CycloParams, *, budget: int | None = None) -> HStarVector:
-    """Binomial transform of the counts 0..d; entries are always nonnegative.
+def _pulled_volume(p: CycloParams) -> int:
+    """Normalized volume from the pulling triangulation at vertex 1.
 
-    A negative entry or a leading entry other than 1 can only come from a
-    broken enumeration, so either raises.
+    Each facet F without vertex 1 spans one simplex with it, whose
+    normalized volume is the Vandermonde product of {tau_1} and tau_F.
     """
-    counts = ehrhart_counts(p, p.d, budget=budget)
+    t = p.tau
+    return sum(
+        prod(b - a for a, b in combinations((t[0],) + tuple(t[i - 1] for i in w), 2))
+        for w in facets(p)
+        if 1 not in w
+    )
+
+
+def h_star(p: CycloParams, *, budget: int | None = None) -> HStarVector:
+    """The series numerator from low degrees alone; entries are always nonnegative.
+
+    h*_0..h*_m, m = ceil(d/2), are the binomial transform of the counts
+    of degrees 0..m.  The interior series is the sum over j of
+    h*_{d-j} t^(j+1) / (1-t)^(d+1) (Ehrhart-Macdonald reciprocity; Beck &
+    Robins, Computing the Continuous Discretely, ch. 4), so the other
+    entries come from the interior counts Li(1..floor(d/2)), Li(0) = 0:
+    h*_{d-j} = sum over i <= j+1 of (-1)^i C(d+1, i) Li(j+1-i).  No slice
+    of degree above ceil(d/2) is enumerated.  The entries sum to the
+    normalized volume, which `_pulled_volume` computes a second way.  A
+    negative entry, a leading entry other than 1 or a volume mismatch
+    can only come from a broken enumeration, so each raises.
+    """
     d = p.d
-    h = [sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
-         for j in range(d + 1)]
+    m = (d + 1) // 2
+    ctx = instance(p)
+    full = [len(ctx.slice(k, budget=budget)) for k in range(m + 1)]
+    inner = [0] + [interior_count(p, k, budget=budget) for k in range(1, d - m + 1)]
+
+    def binomial(counts, j):
+        return sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+
+    h = [binomial(full, j) for j in range(m + 1)]
+    h += [binomial(inner, j + 1) for j in reversed(range(d - m))]
     if h[0] != 1 or any(x < 0 for x in h):
         raise ArithmeticError(f"invalid h* transform {h}; enumeration is inconsistent")
+    volume = _pulled_volume(p)
+    if sum(h) != volume:
+        raise ArithmeticError(f"h* {h} sums to {sum(h)}, not the normalized volume {volume}")
     return HStarVector(tuple(h))

@@ -8,11 +8,13 @@ simplex volumes come from the closed-form difference product.
 
 Below them are helpers only the tests call, kept out of the package:
 the alternating divided-difference form, the contraction identity,
-prefix bases, the non-face partition scan, the last-row heights, a
-generic nullspace, the facet-sign cone test, the memoised membership
-search, the two cone-probe normality scans that production's
-degree-below lookup replaced, and that lookup point by point, which
-the fiber scan (`kp.first_gap`) replaced.  The last four read an
+prefix bases, the non-face partition scan, the last-row heights, the
+dilation counts of every degree 0..d and the h* their binomial
+transform gives (production reads fewer slices), a generic nullspace,
+the facet-sign cone test, the memoised membership search, the two
+cone-probe normality scans that production's degree-below lookup
+replaced, and that lookup point by point, which the fiber scan
+(`kp.first_gap`) replaced.  The counts and the last four read an
 instance context, as production does.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from cyclotoric.core import CycloParams, DeltaTable, InvalidParameters, vertex
 from cyclotoric.divdiff import _check_index_set, bvec
@@ -109,6 +111,24 @@ def vandermonde_product(p: CycloParams) -> int:
         for j in range(i + 1, p.n):
             out *= p.tau[j] - p.tau[i]
     return out
+
+
+def ehrhart_counts(p: CycloParams, k_max: int, *, budget: int | None = None) -> list[int]:
+    """Lattice-point counts of the dilations 0..k_max."""
+    if k_max < 0:
+        raise InvalidParameters("k_max must be nonnegative")
+    ctx = instance(p)
+    return [len(ctx.slice(k, budget=budget)) for k in range(k_max + 1)]
+
+
+def h_star_all_degrees(p: CycloParams, *, budget: int | None = None) -> tuple[int, ...]:
+    """h* as the binomial transform of the full counts of every degree 0..d."""
+    d = p.d
+    counts = ehrhart_counts(p, d, budget=budget)
+    return tuple(
+        sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+        for j in range(d + 1)
+    )
 
 
 def gap_family(max_d: int, max_n: int, max_gap: int, d_min: int = 1):

@@ -441,7 +441,10 @@ def _main_output(argv) -> tuple[int, str]:
 
 def test_scan_pool_is_sized_by_its_inputs(monkeypatch):
     # the fork start method forks every worker at the first submit, so the
-    # pool must not ask for more processes than tasks or cores
+    # pool must not ask for more processes than tasks or cores; `cmd_scan`
+    # imports the executor only when it starts one, so patch it at its source
+    import concurrent.futures
+
     import cyclotoric.cli as cli_mod
 
     sizes = []
@@ -459,7 +462,7 @@ def test_scan_pool_is_sized_by_its_inputs(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", StandIn)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
     argv = ["scan", "--d", "1", "--n", "2", "--max-gap", "2", "--ring", "kq"]
     for cores, expected in ((4, [2]), (1, [])):
         sizes.clear()

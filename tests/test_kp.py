@@ -1,5 +1,6 @@
 """Normality, codimension-one regularity, and the two Gorenstein routes."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from cyclotoric.kp import (
     gorenstein_witnesses,
     interior_generator_candidate,
     is_normal_kp,
+    normality_bound,
     r1_issues,
 )
 from cyclotoric.kq import is_normal_kq_bruteforce
@@ -100,7 +102,7 @@ class TestIsNormal:
         monkeypatch.setattr(kp_mod, "vec_sub", counted)
         p = build_params(3, [0, 2, 4, 6, 8])
         assert is_normal_kp(p) == (True, None)
-        points = sum(len(enumerate_points(p, k)) for k in (2, 3))
+        points = len(enumerate_points(p, 2))  # the default bound max(1, d-1) is 2
         assert calls[0] <= 8 * points, (calls[0], points)
 
     def test_a_negative_bound_is_refused(self):
@@ -124,15 +126,38 @@ class TestIsNormal:
         monkeypatch.setattr(kp_mod, "vec_sub", counted)
         p = build_params(3, [0, 2, 4, 6, 8])
         assert is_normal_kp(p) == (True, None)
-        points = sum(len(enumerate_points(p, k)) for k in (2, 3))
+        points = len(enumerate_points(p, 2))  # the default bound max(1, d-1) is 2
         assert calls[0] < points, (calls[0], points)
 
+    def test_a_miss_walks_on_from_the_last_winner(self, monkeypatch):
+        # after a miss the walk resumes past the generator that covered last
+        # and wraps around; restarting from the first generator took 142 and
+        # 44 lookups per fiber at degrees 1 and 2 here
+        import cyclotoric.kp as kp_mod
+
+        calls = [0]
+
+        def counted(u, v):
+            calls[0] += 1
+            return vec_sub(u, v)
+
+        monkeypatch.setattr(kp_mod, "vec_sub", counted)
+        p = build_params(3, [0, 3, 6, 9, 12])
+        lookups = []
+        for bound in (1, 2):
+            calls[0] = 0
+            assert is_normal_kp(p, bound) == (True, None)
+            lookups.append(calls[0])
+        for k, made in ((1, lookups[0]), (2, lookups[1] - lookups[0])):
+            fibers = len(instance(p).slice(k).fibers)
+            assert made <= 8 * fibers, (k, made, fibers)
+
     def test_fiber_scan_matches_the_pointwise_reference(self):
-        # verdict and witness of both rings, against the scan point by point.
-        # K[P] runs under budget 5 and 10**5, which admits 734 of the 1,074
-        # instances to degree d and the rest to a lower one (the default budget
-        # costs the reference minutes); K[Q] runs under 5, the default and
-        # 10**12, which admits them all
+        # verdict and witness of both rings, against the scan point by point,
+        # both at the default bound max(1, d-1).  K[P] runs under budget 5
+        # and 10**5; K[Q] runs under 5, the default and 10**12, which admits
+        # them all.  Where the budget admits degree d, the default scan also
+        # equals the reference run to degree d: the d-1 theorem itself
         def outcome(scan, p, max_degree, budget):
             try:
                 return scan(p, max_degree, budget=budget)
@@ -144,13 +169,13 @@ class TestIsNormal:
             vert_set = set(ctx.vertices)
             slice1 = ctx.slice(1, budget=budget)
             gens = ctx.vertices + tuple(g for g in slice1 if g not in vert_set)
-            bound = p.d if max_degree is None else max_degree
+            bound = normality_bound(p.d) if max_degree is None else max_degree
             witness = pointwise_first_gap(ctx, gens, bound, budget=budget)
             return witness is None, witness
 
         def reference_kq(p, max_degree, budget):
             ctx = instance(p)
-            bound = p.d if max_degree is None else max_degree
+            bound = normality_bound(p.d) if max_degree is None else max_degree
             try:
                 witness = pointwise_first_gap(
                     ctx, ctx.vertices, bound, vertex_lattice=True, budget=budget
@@ -159,7 +184,7 @@ class TestIsNormal:
                 return "inconclusive", None
             return ("normal", None) if witness is None else ("not_normal", witness)
 
-        seen = set()
+        seen, full_bound = set(), Counter()
         for d, tau in gap_family(max_d=3, max_n=6, max_gap=3):
             p = build_params(d, tau)
             for max_degree in (None, 0, 1, 2):
@@ -171,7 +196,15 @@ class TestIsNormal:
                     kq = is_normal_kq_bruteforce(p, max_degree, budget=budget)
                     assert kq == reference_kq(p, max_degree, budget), (p, max_degree, budget)
                     seen.add(kq[0])
+            full = outcome(reference_kp, p, p.d, 10**5)
+            if full != "budget":
+                assert is_normal_kp(p, budget=10**5) == full, p
+                full_bound["kp"] += 1
+            full = reference_kq(p, p.d, 10**12)
+            assert is_normal_kq_bruteforce(p, budget=10**12) == full, p
+            full_bound[full[0]] += 1
         assert seen == {True, "budget", "normal", "not_normal", "inconclusive"}
+        assert full_bound == {"kp": 734, "normal": 51, "not_normal": 1023}, full_bound
 
     def test_a_non_normal_polytope_gets_the_reference_witness(self):
         # no cyclic instance fails at degree >= 2, so a scan that covers too
@@ -461,7 +494,7 @@ class TestClassify:
         p = build_params(3, [0, 2, 4, 6, 8])
         flags = ("normal", "cohen_macaulay", "s2", "seminormal")
         full = classify_kp(p)
-        for max_degree in (None, 3):
+        for max_degree in (None, 2, 3):
             report = classify_kp(p, max_degree=max_degree)
             assert [getattr(report, f) for f in flags] == [True] * 4, max_degree
         for max_degree in (0, 1):
@@ -483,12 +516,15 @@ class TestClassify:
         flags = ("normal", "cohen_macaulay", "s2", "seminormal")
         p = build_params(2, [0, 1, 3])
         full = classify_kp(p)
-        report = classify_kp(p, max_degree=1)
+        report = classify_kp(p, max_degree=0)
         assert [getattr(report, f) for f in flags] == [True] * 4
         assert report.notes == full.notes
         assert report.gorenstein_oracle == full.gorenstein_oracle
-        report = classify_kp(p, oracle=False, max_degree=1)
+        report = classify_kp(p, oracle=False, max_degree=0)
         assert [getattr(report, f) for f in flags] == [None] * 4
+        # at d = 2 degree 1 is the whole bound max(1, d-1), so it proves
+        report = classify_kp(p, oracle=False, max_degree=1)
+        assert [getattr(report, f) for f in flags] == [True] * 4
         assert classify_kp(build_params(3, [0, 2, 4, 6, 8]), max_degree=1).normal is None
 
     def test_memory_stays_small(self):

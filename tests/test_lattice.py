@@ -15,14 +15,19 @@ from cyclotoric.lattice import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
     HStarVector,
-    ehrhart_counts,
     enumerate_points,
     h_star,
     interior_count,
     resolve_budget,
 )
 
-from _oracles import in_cone, polygon_pick_data, vandermonde_product
+from _oracles import (
+    ehrhart_counts,
+    h_star_all_degrees,
+    in_cone,
+    polygon_pick_data,
+    vandermonde_product,
+)
 from _strategies import cyclo_params
 
 
@@ -304,6 +309,36 @@ class TestHStar:
         except BudgetExceeded:
             return
         assert h.h[p.d] == interior_count(p, 1, budget=budget)
+
+    @given(cyclo_params(max_d=4, max_n=6, max_gap=3))
+    @example(CycloParams(4, (0, 1, 2, 3, 4)))
+    @example(CycloParams(4, (-2, -1, 0, 2, 3)))
+    @example(CycloParams(4, (0, 2, 3, 4, 5)))
+    @settings(max_examples=40, deadline=None)
+    def test_reciprocity_matches_the_all_degree_transform(self, p):
+        # h* from full counts to degree ceil(d/2) and interior counts to
+        # floor(d/2) equals the binomial transform of the counts of every
+        # degree 0..d; the budget admits the smaller instances of d = 4
+        budget = 10**8
+        try:
+            expected = h_star_all_degrees(p, budget=budget)
+        except BudgetExceeded:
+            return
+        lattice_mod.instance.cache_clear()
+        assert h_star(p, budget=budget).h == expected
+        asked = lattice_mod.instance(p)._slices
+        full = max(k for k, interior, _ in asked if not interior)
+        inner = max((k for k, interior, _ in asked if interior), default=0)
+        assert (full, inner) == ((p.d + 1) // 2, p.d // 2), sorted(asked)
+
+    def test_a_count_off_the_volume_raises(self, monkeypatch):
+        # one interior point too many keeps h*_0 = 1 and h* >= 0, so only the
+        # volume of the pulling triangulation from vertex 1 catches it
+        p = build_params(2, [0, 1, 3])
+        count = lattice_mod.interior_count
+        monkeypatch.setattr(lattice_mod, "interior_count", lambda *a, **kw: count(*a, **kw) + 1)
+        with pytest.raises(ArithmeticError, match="normalized volume 6"):
+            h_star(p)
 
 
 class TestBudget:
