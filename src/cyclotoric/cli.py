@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
+from contextlib import ExitStack
 from itertools import product
 
 from .core import CycloParams, InvalidParameters, build_params, canonical_form
@@ -40,58 +40,41 @@ from .lattice import MOMENT, BudgetExceeded, enumerate_points, h_star, instance,
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Finding:
-    kind: str
-    params: CycloParams
-    details: str
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": self.kind,
-            "params": {"d": self.params.d, "tau": list(self.params.tau)},
-            "details": self.details,
-        }
-
-
 def derive_findings(
     p: CycloParams, kp: RingReportKP | None, kq: RingReportKQ | None
-) -> list[Finding]:
-    """Collect reportable findings from the per-ring reports of one instance."""
-    canon = canonical_form(p)
-    out = []
+) -> list[dict]:
+    """Collect reportable findings from the per-ring reports of one instance, as records."""
+    found = []  # (kind, details) pairs
     if kp is not None:
-        for kind, detail in kp.notes:
-            out.append(Finding(kind, canon, f"{kind}: {detail}"))
+        found += [(kind, f"{kind}: {detail}") for kind, detail in kp.notes]
     if kq is not None:
         if kq.evidence["kind"] == "bruteforce_exhaustive":
-            out.append(
-                Finding(
-                    "conjecture45_counterexample",
-                    canon,
-                    "vertex semigroup proven normal by exhaustive search to degree d "
-                    "where the divisibility criterion is silent",
-                )
-            )
+            found.append((
+                "conjecture45_counterexample",
+                "vertex semigroup proven normal by exhaustive search to degree max(1, d-1) "
+                "where the divisibility criterion is silent",
+            ))
         if kq.normal == "unknown":
-            out.append(
-                Finding(
-                    "conjecture45_unknown_instance",
-                    canon,
-                    "vertex-semigroup normality undecided by every implemented route",
-                )
-            )
+            found.append((
+                "conjecture45_unknown_instance",
+                "vertex-semigroup normality undecided by every implemented route",
+            ))
         if p.n == p.d + 2 and p.d >= 2:
-            out.append(
-                Finding(
-                    "conjecture48_ci_instance",
-                    canon,
-                    "complete intersection (hence Cohen-Macaulay) with a non-normal "
-                    "vertex semigroup",
-                )
-            )
-    return out
+            found.append((
+                "conjecture48_ci_instance",
+                "complete intersection (hence Cohen-Macaulay) with a non-normal "
+                "vertex semigroup",
+            ))
+    canon = canonical_form(p)
+    return [
+        {
+            "schema": SCHEMA_VERSION,
+            "kind": kind,
+            "params": {"d": canon.d, "tau": list(canon.tau)},
+            "details": details,
+        }
+        for kind, details in found
+    ]
 
 
 def _parse_tau(text: str) -> tuple[int, ...]:
@@ -112,16 +95,6 @@ def _params(args) -> CycloParams:
     return build_params(args.d, _parse_tau(args.tau))
 
 
-def _instance_header(p: CycloParams) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "d": p.d,
-        "n": p.n,
-        "tau": list(p.tau),
-        "gaps": list(p.gaps),
-    }
-
-
 def _classify_instance(
     p: CycloParams,
     rings: set[str],
@@ -130,8 +103,14 @@ def _classify_instance(
     budget: int | None,
     catch_budget: bool = True,
 ) -> dict:
-    record = _instance_header(p)
-    record["status"] = "ok"
+    record = {
+        "schema": SCHEMA_VERSION,
+        "d": p.d,
+        "n": p.n,
+        "tau": list(p.tau),
+        "gaps": list(p.gaps),
+        "status": "ok",
+    }
     try:
         kp = (
             classify_kp(p, oracle=oracle, max_degree=max_degree, budget=budget)
@@ -156,10 +135,9 @@ def _classify_instance(
             }
         )
         return record
-    findings = derive_findings(p, kp, kq)
     record["kp"] = kp.to_dict() if kp is not None else None
     record["kq"] = kq.to_dict() if kq is not None else None
-    record["findings"] = [f.to_dict() for f in findings]
+    record["findings"] = derive_findings(p, kp, kq)
     return record
 
 
@@ -276,28 +254,29 @@ def cmd_scan(args) -> int:
         raise InvalidParameters("threads must be at least 1")
     # the fork start method forks every worker at the first submit, so size the pool
     workers = min(threads, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
+    with ExitStack() as outputs:
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_scan_worker, tasks))
-    else:
-        records = [_scan_worker(t) for t in tasks]
+        def output(path, newline=None):
+            return path and outputs.enter_context(
+                open(path, "w", encoding="utf-8", newline=newline)
+            )
 
-    lines = "".join(json.dumps(r) + "\n" for r in records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+        # every output opens before the first instance, so a bad path costs no scan
+        out, findings, csv_out = output(args.out), output(args.findings), output(args.csv, "")
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
 
-    all_findings = [f for r in records for f in r.get("findings", [])]
-    if args.findings:
-        with open(args.findings, "w", encoding="utf-8") as fh:
-            for f in all_findings:
-                fh.write(json.dumps(f) + "\n")
-    if args.csv:
-        _write_csv(args.csv, records)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_scan_worker, tasks))
+        else:
+            records = [_scan_worker(t) for t in tasks]
+
+        (out or sys.stdout).write("".join(json.dumps(r) + "\n" for r in records))
+        all_findings = [f for r in records for f in r.get("findings", [])]
+        if findings:
+            findings.write("".join(json.dumps(f) + "\n" for f in all_findings))
+        if csv_out:
+            _write_csv(csv_out, records)
 
     summary = {
         "instances": len(records),
@@ -340,28 +319,27 @@ CSV_COLUMNS = (
 )
 
 
-def _write_csv(path: str, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            kp = r.get("kp") or {}
-            kq = r.get("kq") or {}
-            oracle = kp.get("gorenstein_oracle") or {}
-            writer.writerow(
-                [
-                    r["d"],
-                    r["n"],
-                    ",".join(map(str, r["gaps"])),
-                    kp.get("normal", ""),
-                    kp.get("cohen_macaulay", ""),
-                    kp.get("gorenstein_theorem", ""),
-                    oracle.get("status", ""),
-                    kq.get("case", ""),
-                    kq.get("normal", ""),
-                    len(r.get("findings", [])),
-                ]
-            )
+def _write_csv(fh, records: list[dict]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        kp = r.get("kp") or {}
+        kq = r.get("kq") or {}
+        oracle = kp.get("gorenstein_oracle") or {}
+        writer.writerow(
+            [
+                r["d"],
+                r["n"],
+                ",".join(map(str, r["gaps"])),
+                kp.get("normal", ""),
+                kp.get("cohen_macaulay", ""),
+                kp.get("gorenstein_theorem", ""),
+                oracle.get("status", ""),
+                kq.get("case", ""),
+                kq.get("normal", ""),
+                len(r.get("findings", [])),
+            ]
+        )
 
 
 def cmd_witness_r1(args) -> int:

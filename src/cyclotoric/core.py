@@ -60,19 +60,10 @@ def vertex(p: CycloParams, i: int) -> tuple[int, ...]:
     return tuple(t**r for r in range(p.d + 1))
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """(d+1) x n matrix whose column i is the homogenised vertex of parameter i."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def column(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i - 1] for row in self.entries)
-
-
 @lru_cache(maxsize=4096)
-def moment_matrix(p: CycloParams) -> MomentMatrix:
-    return MomentMatrix(tuple(tuple(t**r for t in p.tau) for r in range(p.d + 1)))
+def moment_matrix(p: CycloParams) -> tuple[tuple[int, ...], ...]:
+    """Rows of the (d+1) x n matrix whose column i is the homogenised vertex i."""
+    return tuple(tuple(t**r for t in p.tau) for r in range(p.d + 1))
 
 
 class DeltaTable:
@@ -137,7 +128,7 @@ def transform(p: CycloParams) -> TransformedMatrix:
     """
     d = p.d
     factor = tuple(root_polynomial(p.tau[:r]) + (0,) * (d - r) for r in range(d + 1))
-    entries = mat_mul(factor, moment_matrix(p).entries)
+    entries = mat_mul(factor, moment_matrix(p))
     dt = DeltaTable(p)
     for r in range(1, d + 1):
         for j in range(p.n):

@@ -26,7 +26,7 @@ from math import prod
 
 from .core import CycloParams, InvalidParameters, root_polynomial
 from .faces import facet_hyperplane
-from .intlinalg import dot, hyperplane_lattice_index, vec_add, vec_sub
+from .intlinalg import det, dot, vec_add, vec_sub
 
 
 @lru_cache(maxsize=65536)
@@ -89,8 +89,25 @@ def facet_chain_basis(w, p: CycloParams) -> list[tuple[int, ...]]:
 
 
 def facet_lattice_index(w, p: CycloParams) -> int:
-    """Index of the chain-basis span inside the facet plane's integer lattice (want 1)."""
-    return hyperplane_lattice_index(facet_chain_basis(w, p), support_form(w, p))
+    """Index of the chain-basis span inside the facet plane's integer lattice (want 1).
+
+    For d integer vectors spanning a hyperplane, the d x d minor that
+    drops coordinate i is +-(the index of their span in the plane's
+    integer lattice) times entry i of the plane's primitive normal
+    (Schrijver, Theory of Linear and Integer Programming, ch. 4).  The
+    facet normal is the monic root polynomial of the facet's parameters,
+    so its last entry is +-1 and the minor that drops the last
+    coordinate is +-index.  A chain vector off the facet or a zero minor
+    can only come from a broken basis, so each raises.
+    """
+    basis = facet_chain_basis(w, p)
+    sf = support_form(w, p)
+    if any(dot(sf, v) for v in basis):
+        raise ArithmeticError(f"a chain vector of facet {tuple(w)} leaves its plane")
+    index = abs(det([v[:-1] for v in basis]))
+    if index == 0:
+        raise ArithmeticError(f"the chain basis of facet {tuple(w)} is degenerate")
+    return index
 
 
 def r1_witness(w, k: int, p: CycloParams) -> tuple[int, ...]:

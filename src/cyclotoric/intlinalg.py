@@ -126,24 +126,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def solve_dot_one(v: Sequence[int]) -> IntVec:
-    """Integer w with <v, w> = 1; requires a primitive v."""
-    g = 0
-    w = [0] * len(v)
-    for i, x in enumerate(v):
-        if x == 0:
-            continue
-        g2, s, t = xgcd(g, x)
-        w = [s * wj for wj in w]
-        w[i] += t
-        g = g2
-        if g == 1:
-            break
-    if g != 1:
-        raise ValueError("vector is not primitive")
-    return tuple(w)
-
-
 def hnf(rows) -> list[IntVec]:
     """Row-style Hermite normal form of the lattice spanned by integer rows.
 
@@ -189,24 +171,6 @@ def lattice_contains(hnf_basis, z) -> bool:
         if q:
             x = [u - q * v for u, v in zip(x, row)]
     return not any(x)
-
-
-def hyperplane_lattice_index(vectors, normal) -> int:
-    """Index of span(vectors) inside {x in Z^k : <normal, x> = 0}.
-
-    `normal` must be primitive and vanish on every vector.  Completing
-    either lattice with any w satisfying <normal, w> = 1 yields all of
-    Z^k, so the index is the absolute determinant of the completed span.
-    """
-    for v in vectors:
-        if dot(normal, v) != 0:
-            raise ValueError("vector does not lie on the hyperplane")
-    w = solve_dot_one(normal)
-    m = [list(v) for v in vectors] + [list(w)]
-    val = det(m)
-    if val == 0:
-        raise ValueError("vectors do not span the hyperplane")
-    return abs(val)
 
 
 def unit_lower_inverse(u):

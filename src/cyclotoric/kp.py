@@ -100,9 +100,10 @@ def is_normal_kp(
     exhaustive, so the slice of degree d, the largest one a default
     check could need, is never enumerated.  The generators are the
     fibers of degree 1 in slice order, which the walk from the last
-    winner follows at degree 1 itself.
+    winner follows at degree 1 itself.  A `max_degree` above the bound
+    scans no further, since the degrees past it add no generator.
     """
-    bound = normality_bound(p.d) if max_degree is None else max_degree
+    bound = normality_bound(p.d) if max_degree is None else min(max_degree, normality_bound(p.d))
     ctx = instance(p)
     witness = first_gap(ctx, ctx.slice(1, budget=budget).fibers, bound, budget=budget)
     return witness is None, witness

@@ -96,7 +96,7 @@ def kernel_binomial(p: CycloParams) -> KernelBinomial:
         (-1) ** i * prod(b - a for a, b in combinations(tau[:i] + tau[i + 1 :], 2))
         for i in range(p.n)
     ])
-    if any(v != 0 for v in mat_vec(moment_matrix(p).entries, c)):
+    if any(v != 0 for v in mat_vec(moment_matrix(p), c)):
         raise ArithmeticError("kernel vector does not annihilate the moment matrix")
     u_support = tuple(i + 1 for i, x in enumerate(c) if x > 0)
     v_support = tuple(i + 1 for i, x in enumerate(c) if x < 0)
@@ -150,9 +150,10 @@ def is_normal_kq_bruteforce(
     `first_gap` scans degrees 1..max_degree over vertex-lattice slices,
     which the enumeration builds by stepping each coordinate through its
     residue class, so no point outside the lattice is visited; the budget
-    still caps the full bounding box.
+    still caps the full bounding box.  A `max_degree` above the bound
+    scans no further.
     """
-    bound = normality_bound(p.d) if max_degree is None else max_degree
+    bound = normality_bound(p.d) if max_degree is None else min(max_degree, normality_bound(p.d))
     ctx = instance(p)
     try:
         gens = tuple((v[:-1], v[-1], v[-1]) for v in ctx.vertices)

@@ -73,6 +73,15 @@ def test_classify_budget_exhaustion():
     assert "budget" in res.stderr.lower()
 
 
+def test_max_degree_above_the_bound_is_the_proven_verdict():
+    # degrees past max(1, d-1) add no generator, so they are not enumerated:
+    # at degree 6 the bounding box alone is past the default budget
+    argv = ["classify", "--d", "3", "--tau", "0,3,6,9,12", "--ring", "kp", "--json"]
+    code, out = _main_output(argv + ["--max-degree", "6"])
+    assert code == 0 and json.loads(out)["kp"]["normal"] is True
+    assert (code, out) == _main_output(argv)
+
+
 def test_classify_human_readable():
     res = run_cli("classify", "--d", "2", "--tau", "0,1,3", "--oracle")
     assert res.returncode == 0
@@ -470,6 +479,22 @@ def test_scan_pool_is_sized_by_its_inputs(monkeypatch):
         code, out = _main_output(argv + ["--threads", "100000"])
         assert code == 0 and len(out.splitlines()) == 2
         assert sizes == expected, cores
+
+
+@pytest.mark.parametrize("output", ["--out", "--findings", "--csv"])
+def test_bad_output_path_fails_before_any_instance(monkeypatch, tmp_path, output):
+    import cyclotoric.cli as cli_mod
+
+    calls = []
+    classify = cli_mod._classify_instance
+    monkeypatch.setattr(cli_mod, "_classify_instance", lambda *a: calls.append(a) or classify(*a))
+    argv = ["scan", "--d", "2..2", "--n", "3..4", "--max-gap", "2", "--threads", "1",
+            output, str(tmp_path / "missing" / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, calls) == (2, [])
+    assert err.getvalue().startswith("io error: ")
 
 
 @pytest.mark.parametrize(

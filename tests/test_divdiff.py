@@ -17,7 +17,7 @@ from cyclotoric.divdiff import (
     support_form,
 )
 from cyclotoric.faces import NotAFacet, facet_hyperplane, facets
-from cyclotoric.intlinalg import det, dot
+from cyclotoric.intlinalg import det, dot, vec_add
 
 from _oracles import basis_matrix, bvec_alternating, bvec_recursion_check
 from _strategies import cyclo_params, params_with_subset
@@ -169,6 +169,40 @@ class TestFacetChainBasis:
     def test_lattice_index_one(self, p):
         for w in facets(p):
             assert facet_lattice_index(w, p) == 1
+
+    def test_lattice_index_reads_a_scaled_vector(self, monkeypatch):
+        # one chain vector times k, then added to another, spans index k
+        import cyclotoric.divdiff as divdiff_mod
+
+        chain_basis = divdiff_mod.facet_chain_basis
+        for d, tau in ((1, (0, 2)), (2, (0, 1, 3)), (3, (0, 1, 2, 5, 7)), (4, (-2, 0, 1, 3, 4, 6))):
+            p = build_params(d, tau)
+            for w in facets(p):
+                for j in range(d):
+                    for k in (1, 2, 3, 5):
+
+                        def scaled(w, p, j=j, k=k):
+                            basis = chain_basis(w, p)
+                            basis[j] = tuple(k * x for x in basis[j])
+                            if d > 1:
+                                basis[j - 1] = vec_add(basis[j - 1], basis[j])
+                            return basis
+
+                        monkeypatch.setattr(divdiff_mod, "facet_chain_basis", scaled)
+                        assert facet_lattice_index(w, p) == k, (p, w, j, k)
+
+    def test_lattice_index_rejects_a_broken_basis(self, monkeypatch):
+        import cyclotoric.divdiff as divdiff_mod
+
+        chain_basis = divdiff_mod.facet_chain_basis
+        p = build_params(2, [0, 1, 3])
+        for last in (lambda basis: vertex(p, 1), lambda basis: basis[0]):  # off, degenerate
+            monkeypatch.setattr(
+                divdiff_mod, "facet_chain_basis",
+                lambda w, p, last=last: chain_basis(w, p)[:-1] + [last(chain_basis(w, p))],
+            )
+            with pytest.raises(ArithmeticError):
+                facet_lattice_index((2, 3), p)
 
 
 class TestR1Witness:

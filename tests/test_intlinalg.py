@@ -11,11 +11,9 @@ from cyclotoric.intlinalg import (
     det,
     dot,
     hnf,
-    hyperplane_lattice_index,
     lattice_contains,
     mat_mul,
     primitive,
-    solve_dot_one,
     solve_exact,
     unit_lower_inverse,
     vec_sub,
@@ -94,20 +92,6 @@ class TestXgcd:
         assert g == math.gcd(a, b)
         assert x * a + y * b == g
 
-    @given(st.lists(small_int, min_size=1, max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_solve_dot_one(self, v):
-        g = vector_gcd(v)
-        if g == 0:
-            return
-        v = [x // g for x in v]
-        w = solve_dot_one(v)
-        assert dot(v, w) == 1
-
-    def test_solve_dot_one_rejects_imprimitive(self):
-        with pytest.raises(ValueError):
-            solve_dot_one((2, 4))
-
 
 class TestSolveExact:
     def test_unique_solution(self):
@@ -174,19 +158,6 @@ class TestHnf:
     def test_empty(self):
         assert hnf([]) == []
         assert hnf([[0, 0]]) == []
-
-
-class TestHyperplaneIndex:
-    def test_full_slice(self):
-        # plane x0 + x1 + x2 = 0 has basis (1,-1,0),(0,1,-1)
-        assert hyperplane_lattice_index([(1, -1, 0), (0, 1, -1)], (1, 1, 1)) == 1
-
-    def test_proper_sublattice(self):
-        assert hyperplane_lattice_index([(2, -2, 0), (0, 1, -1)], (1, 1, 1)) == 2
-
-    def test_rejects_off_plane_vectors(self):
-        with pytest.raises(ValueError):
-            hyperplane_lattice_index([(1, 0, 0)], (1, 1, 1))
 
 
 class TestUnitLowerInverse:

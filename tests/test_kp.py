@@ -154,28 +154,27 @@ class TestIsNormal:
 
     def test_fiber_scan_matches_the_pointwise_reference(self):
         # verdict and witness of both rings, against the scan point by point,
-        # both at the default bound max(1, d-1).  K[P] runs under budget 5
-        # and 10**5; K[Q] runs under 5, the default and 10**12, which admits
-        # them all.  Where the budget admits degree d, the default scan also
-        # equals the reference run to degree d: the d-1 theorem itself
+        # both at the default bound max(1, d-1), which also caps a higher
+        # max_degree.  K[P] runs under budget 5 and 10**5; K[Q] runs under 5,
+        # the default and 10**12, which admits them all.  Where the budget
+        # admits degree d, the default scan also equals the reference run to
+        # degree d: the d-1 theorem itself
         def outcome(scan, p, max_degree, budget):
             try:
                 return scan(p, max_degree, budget=budget)
             except BudgetExceeded:
                 return "budget"
 
-        def reference_kp(p, max_degree, budget):
+        def reference_kp(p, bound, budget):
             ctx = instance(p)
             vert_set = set(ctx.vertices)
             slice1 = ctx.slice(1, budget=budget)
             gens = ctx.vertices + tuple(g for g in slice1 if g not in vert_set)
-            bound = normality_bound(p.d) if max_degree is None else max_degree
             witness = pointwise_first_gap(ctx, gens, bound, budget=budget)
             return witness is None, witness
 
-        def reference_kq(p, max_degree, budget):
+        def reference_kq(p, bound, budget):
             ctx = instance(p)
-            bound = normality_bound(p.d) if max_degree is None else max_degree
             try:
                 witness = pointwise_first_gap(
                     ctx, ctx.vertices, bound, vertex_lattice=True, budget=budget
@@ -188,13 +187,16 @@ class TestIsNormal:
         for d, tau in gap_family(max_d=3, max_n=6, max_gap=3):
             p = build_params(d, tau)
             for max_degree in (None, 0, 1, 2):
+                bound = normality_bound(p.d)
+                if max_degree is not None:
+                    bound = min(bound, max_degree)
                 for budget in (5, 10**5):
                     kp = outcome(is_normal_kp, p, max_degree, budget)
-                    assert kp == outcome(reference_kp, p, max_degree, budget), (p, max_degree)
+                    assert kp == outcome(reference_kp, p, bound, budget), (p, max_degree)
                     seen.add(kp if kp == "budget" else kp[0])
                 for budget in (5, None, 10**12):
                     kq = is_normal_kq_bruteforce(p, max_degree, budget=budget)
-                    assert kq == reference_kq(p, max_degree, budget), (p, max_degree, budget)
+                    assert kq == reference_kq(p, bound, budget), (p, max_degree, budget)
                     seen.add(kq[0])
             full = outcome(reference_kp, p, p.d, 10**5)
             if full != "budget":
@@ -551,7 +553,7 @@ class TestClassify:
         monkeypatch.setattr(kp_mod, "h_star", lambda p, budget=None: HStarVector((1, 4, 0)))
         report = classify_kp(p)
         assert report.normal and report.gorenstein_oracle.status == "gorenstein"
-        kinds = [f.kind for f in derive_findings(p, report, None)]
+        kinds = [f["kind"] for f in derive_findings(p, report, None)]
         assert kinds == ["hstar_oracle_discrepancy"]
 
     def test_generator_divides_interior_points(self):

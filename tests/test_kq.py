@@ -73,7 +73,7 @@ class TestKernelBinomial:
     def test_uneven_gaps_still_alternate(self):
         p = build_params(2, [0, 1, 2, 4])
         kb = kernel_binomial(p)
-        assert all(v == 0 for v in mat_vec(moment_matrix(p).entries, kb.c))
+        assert all(v == 0 for v in mat_vec(moment_matrix(p), kb.c))
         assert kb.u_support == (1, 3) and kb.v_support == (2, 4)
 
     def test_requires_exactly_one_extra_vertex(self):
@@ -96,7 +96,7 @@ class TestKernelBinomial:
         for d, tau in family + [(2, (0, 2, 3, 7)), (3, (-9, -4, -3, 0, 2))]:
             p = build_params(d, tau)
             kb = kernel_binomial(p)
-            basis = nullspace(moment_matrix(p).entries)
+            basis = nullspace(moment_matrix(p))
             assert len(basis) == 1
             other = basis[0] if basis[0][0] > 0 else tuple(-x for x in basis[0])
             assert kb.c == other
@@ -216,12 +216,17 @@ class TestClassify:
 
         def outcome(**kw):
             r = classify_kq(p, use_bruteforce=True, **kw)
-            return r.normal, r.evidence, [f.kind for f in derive_findings(p, None, r)]
+            return r.normal, r.evidence, [f["kind"] for f in derive_findings(p, None, r)]
 
         proven = ("yes", {"kind": "bruteforce_exhaustive"}, ["conjecture45_counterexample"])
         # at d = 2 degree 1 is the whole bound max(1, d-1)
         for max_degree in (1, 2, 3):
             assert outcome() == outcome(max_degree=max_degree) == proven, max_degree
+        (finding,) = derive_findings(p, None, classify_kq(p, use_bruteforce=True))
+        assert finding["details"] == (
+            "vertex semigroup proven normal by exhaustive search to degree max(1, d-1) "
+            "where the divisibility criterion is silent"
+        )
         unknown = ["conjecture45_unknown_instance"]
         lowered = ("unknown", {"kind": "none", "bruteforce": "normal"}, unknown)
         assert outcome(max_degree=0) == lowered
