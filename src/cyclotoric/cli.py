@@ -461,7 +461,7 @@ def _add_budget_arg(sub) -> None:
         "--budget",
         type=int,
         default=None,
-        help="enumeration bounding-box budget (default 10^8; env CYCLOTORIC_BUDGET)",
+        help="cap on the nodes each slice scan visits (default 10^6; env CYCLOTORIC_BUDGET)",
     )
 
 

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .core import CycloParams, InvalidParameters, root_polynomial, vertex
-from .intlinalg import dot
+from .core import CycloParams, InvalidParameters, root_polynomial
 
 
 class NotAFacet(ValueError):
@@ -88,13 +86,39 @@ def facets(p: CycloParams) -> tuple[tuple[int, ...], ...]:
     """All facet index sets, lexicographically sorted.
 
     These are exactly the d-subsets whose interior runs all have even
-    size; for n = d+1 that is every d-subset.
+    size (Gale's evenness condition; Ziegler, Lectures on Polytopes,
+    Thm 0.7); for n = d+1 that is every d-subset.  They are generated
+    index by index, each one taken before it is skipped, which is lex
+    order; a run that closes before n with odd size and not starting at 1
+    is cut at once, and so is a prefix too short to reach d elements.
     """
-    out = []
-    for w in combinations(range(1, p.n + 1), p.d):
-        if face_type(w, p.n).s == 0:
-            out.append(w)
+    n, d = p.n, p.d
+    out: list[tuple[int, ...]] = []
+    w: list[int] = []
+
+    def grow(x: int, run: int, inner: bool) -> None:
+        # w's last run has size `run` and ends at x-1; `inner`: it starts after 1
+        closes = not (inner and run % 2)  # the run may stop before x
+        if len(w) == d:
+            if x > n or closes:
+                out.append(tuple(w))
+            return
+        if n - x + 1 < d - len(w):
+            return
+        w.append(x)
+        grow(x + 1, run + 1, inner if run else x > 1)
+        w.pop()
+        if closes:
+            grow(x + 1, 0, False)
+
+    grow(1, 0, False)
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def facet_normals(p: CycloParams) -> tuple[tuple[int, ...], ...]:
+    """The inward normals of `facets(p)`, in facet order, with no facet check."""
+    return tuple(_oriented_normal(w, p) for w in facets(p))
 
 
 def facet_hyperplane(w, p: CycloParams) -> tuple[int, ...]:
@@ -104,7 +128,8 @@ def facet_hyperplane(w, p: CycloParams) -> tuple[int, ...]:
     i in W, constant term first), signed to be strictly positive on the
     vertices off the facet; it vanishes on the facet's own.  The
     hyperplane passes through the apex of the homogenised cone, so the
-    slack of a point x is dot(normal, x) in every dilation.
+    slack of a point x is dot(normal, x) in every dilation.  A set that
+    is not a facet raises NotAFacet.
     """
     return _facet_hyperplane_cached(tuple(sorted(w)), p)
 
@@ -114,7 +139,19 @@ def _facet_hyperplane_cached(w: tuple[int, ...], p: CycloParams) -> tuple[int, .
     ft = face_type(w, p.n)
     if ft.r != p.d or ft.s != 0:
         raise NotAFacet(f"{w} is not a facet index set")
-    # monic, hence primitive; its value off W is a product of nonzero differences
+    return _oriented_normal(w, p)
+
+
+def _oriented_normal(w: tuple[int, ...], p: CycloParams) -> tuple[int, ...]:
+    """The root polynomial of W's parameters, signed positive off the facet W.
+
+    It is monic, hence primitive.  Its value at the first vertex j off W
+    is the product of (tau_j - tau_i) over i in W, whose sign is -1 to
+    the number of i in W above j; on a facet every vertex off W gives
+    that one sign.
+    """
     normal = root_polynomial(p.tau[i - 1] for i in w)
-    j = next(j for j in range(1, p.n + 1) if j not in w)
-    return normal if dot(normal, vertex(p, j)) > 0 else tuple(-x for x in normal)
+    j = next(j for j, i in enumerate(w + (0,), start=1) if i != j)
+    if sum(i > j for i in w) % 2:
+        return tuple(-x for x in normal)
+    return normal

@@ -62,7 +62,8 @@ def first_gap(
     it; the first value no generator covers is the answer whatever that
     order.  With vertex_lattice the slices hold only the points of the
     lattice the vertices span, and no other point is enumerated.  Each
-    slice is requested under `budget`.
+    slice is streamed under `budget` and read only up to the first gap,
+    so the scan stops there too.
     """
     if bound < 0:
         raise InvalidParameters("the degree bound must be nonnegative")
@@ -70,10 +71,10 @@ def first_gap(
     ring = tuple(gens) * 2  # a walk from any start reads n generators in a row
     below = {(0,) * len(gens[0][0]): (0, 0)}
     won = 0  # index of the generator that covered last
+    step = ctx.step(vertex_lattice)
     for k in range(1, bound + 1):
-        pts = ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget)
-        step, kept = pts.step, {}
-        for head, x, end in pts.fibers:
+        kept = {}
+        for head, x, end in ctx.fibers(k, vertex_lattice=vertex_lattice, budget=budget):
             if k < bound:  # no runs for the last degree: nothing looks them up
                 kept[head] = (x, end)
             while x <= end:

@@ -149,9 +149,9 @@ def is_normal_kq_bruteforce(
     downgrades the verdict to inconclusive, never to a wrong answer.
     `first_gap` scans degrees 1..max_degree over vertex-lattice slices,
     which the enumeration builds by stepping each coordinate through its
-    residue class, so no point outside the lattice is visited; the budget
-    still caps the full bounding box.  A `max_degree` above the bound
-    scans no further.
+    residue class, so no point outside the lattice is visited; it stops
+    at the first gap, and the budget caps the nodes visited until then.
+    A `max_degree` above the bound scans no further.
     """
     bound = normality_bound(p.d) if max_degree is None else min(max_degree, normality_bound(p.d))
     ctx = instance(p)

@@ -5,12 +5,14 @@ vertex entries are running gap products instead of raw powers.  The map
 back to moment coordinates is unit lower-triangular, so the scan emits
 each moment coordinate as it fixes the scan coordinate, shifted by an
 offset that only the prefix sets; a moment-frame path exists for
-cross-checking.  Candidate ranges come from the vertex coordinate
-extrema and are narrowed per coordinate by the facet inequalities, so
-the recursion only visits feasible prefixes.  A slice can be restricted
-to the lattice the vertices span: each coordinate then steps through its
-residue class modulo the Hermite pivot, so no point outside that lattice
-is visited, while the budget still caps the full bounding box.
+cross-checking.  The first t moment coordinates of C_d(tau) span its
+shadow C_t(tau), the cyclic polytope on the same parameters, so the
+facets of C_t(tau) give coordinate t its exact real range once the
+prefix is fixed: the recursion visits no prefix outside the shadow, and
+the facets of C_d(tau) make every value of the last range a point.  A
+slice can be restricted to the lattice the vertices span: each
+coordinate then steps through its residue class modulo the Hermite
+pivot, so no point outside that lattice is visited.
 
 The last coordinate is fixed as one range per prefix, so a slice is a
 run of fibers: the points that share all but the last coordinate, which
@@ -19,23 +21,26 @@ slice is a `Slice` that holds only those fibers, as (head, first, last)
 in moment coordinates: the normality scan reads the fibers, the counts
 read its length, and only iterating a slice builds its points.
 
-A budget caps the bounding-box volume: instances that would grind fail
-fast with BudgetExceeded instead.  The default is 10**8 candidates and
-can be overridden per call or through the CYCLOTORIC_BUDGET environment
+A budget caps the nodes a scan visits, counted while it runs: a scan
+that would grind fails with BudgetExceeded instead, naming the degree,
+the cap and the bounding-box volume.  The default is 10**6 nodes and can
+be overridden per call or through the CYCLOTORIC_BUDGET environment
 variable.
 
 A frame is "moment" (raw vertex coordinates) or "transformed" (the
 triangularised ones), and this module alone selects one.  Facet normals
 are plain primitive integer tuples from `faces`, in moment coordinates;
-`ScanFrame.normals` is the one place that rewrites them in the
+`ScanFrame.shadows` is the one place that rewrites them in the
 transformed frame, through the same matrix that maps scan points back.
 
 Every stage reads one `Instance` context: each frame's scan data (vertex
-columns, facet normals, the Hermite rows of the vertex lattice) and a
-memo that enumerates each degree slice, full or vertex-lattice, once
-and keeps its fibers.  `instance` keeps the latest one, keyed on the
-parameters alone.  The budget comes with each slice request, and a memo
-hit passes the same box check as a fresh enumeration.
+columns, the facet normals of the polytope and of its shadows, the
+Hermite rows of the vertex lattice) and a memo of slices.  A slice is
+streamed fiber by fiber, so a reader that stops early, at a gap, stops
+the scan too; the memo keeps a slice, with the nodes its scan visited,
+only once a reader has reached its end.  `instance` keeps the latest
+context, keyed on the parameters alone.  The budget comes with each
+slice request, and a memo hit is read only within it.
 """
 
 from __future__ import annotations
@@ -47,17 +52,17 @@ from itertools import combinations
 from math import comb, prod
 
 from .core import CycloParams, InvalidParameters, inverse_transform_factor, transform, vertex
-from .faces import facet_hyperplane, facets
+from .faces import facet_normals, facets
 from .intlinalg import hnf, mat_mul
 
 MOMENT = "moment"
 TRANSFORMED = "transformed"
-DEFAULT_BUDGET = 10**8
+DEFAULT_BUDGET = 10**6
 BUDGET_ENV_VAR = "CYCLOTORIC_BUDGET"
 
 
 class BudgetExceeded(RuntimeError):
-    """Bounding box larger than the enumeration budget."""
+    """A slice scan would visit more nodes than the enumeration budget."""
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -84,10 +89,13 @@ class Slice:
     `fibers` holds one (head, first, last) per run of points that share
     the head, all coordinates but the last, in lex order of the heads:
     the run is head + (x,) for x = first, first + step, ..., last.
+    `nodes` is the number of scan nodes that built it, which equal slices
+    from two frames need not share.
     """
 
     fibers: tuple[tuple[tuple[int, ...], int, int], ...]
     step: int
+    nodes: int = field(default=0, compare=False)
 
     def __len__(self) -> int:
         return sum((last - first) // self.step + 1 for _, first, last in self.fibers)
@@ -116,15 +124,30 @@ class ScanFrame:
         return tuple(tm.column(i) for i in range(1, self.p.n + 1))
 
     @cached_property
-    def normals(self) -> tuple[tuple[int, ...], ...]:
-        """The primitive inward facet normals, in facet order.
+    def shadows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The primitive inward facet normals of C_t(tau), t = 1..d, in facet order.
 
-        A scan point z has moment coordinates L.z for the rows L of
-        `to_moment`, so a moment normal a has slack a.(L.z) = (a.L).z: the
-        scan normals are a.L, and L is unimodular, so they stay primitive.
+        The first t+1 moment coordinates of C_d(tau) span C_t(tau), the
+        cyclic polytope on the same parameters, so its facets bound the
+        first t+1 coordinates of every slice point exactly: shadows[t-1]
+        holds them, t+1 entries each, and shadows[d-1] holds the facets of
+        C_d(tau).  A scan point z has moment coordinates L.z for the rows L
+        of `to_moment`, so a moment normal a has slack a.(L.z) = (a.L).z:
+        the scan normals are a.L.  L is unit lower-triangular, so a.L keeps
+        a's length, its leading entry +-1 and its primitivity.
         """
-        normals = tuple(facet_hyperplane(w, self.p) for w in facets(self.p))
-        return normals if self.to_moment is None else mat_mul(normals, self.to_moment)
+        d, tau = self.p.d, self.p.tau
+        levels = [facet_normals(CycloParams(t, tau)) for t in range(1, d + 1)]
+        if self.to_moment is None:
+            return tuple(levels)
+        padded = [a + (0,) * (d - t) for t, level in enumerate(levels, 1) for a in level]
+        rows = iter(mat_mul(padded, self.to_moment))
+        return tuple(tuple(next(rows)[: t + 1] for _ in level) for t, level in enumerate(levels, 1))
+
+    @property
+    def normals(self) -> tuple[tuple[int, ...], ...]:
+        """The primitive inward facet normals, in facet order."""
+        return self.shadows[-1]
 
     @cached_property
     def to_moment(self) -> tuple[tuple[int, ...], ...] | None:
@@ -141,16 +164,119 @@ class ScanFrame:
             raise ArithmeticError("vertex lattice is not full rank")
         return tuple(rows)
 
-    def box(self, k: int, budget: int | None = None) -> tuple[list[int], list[int]]:
-        """Coordinate ranges of the degree-k bounding box, refused past the budget."""
-        span = range(1, self.p.d + 1)
-        lows = [k * min(c[t] for c in self.columns) for t in span]
-        highs = [k * max(c[t] for c in self.columns) for t in span]
-        volume = prod(hi - lo + 1 for lo, hi in zip(lows, highs))
-        cap = resolve_budget(budget)
-        if volume > cap:
-            raise BudgetExceeded(f"bounding box holds {volume} candidates (budget {cap})")
-        return lows, highs
+    def refusal(self, k: int, cap: int) -> BudgetExceeded:
+        """The error of a degree-k scan past `cap` nodes, with its bounding-box volume."""
+        volume = prod(
+            k * (max(c[t] for c in self.columns) - min(c[t] for c in self.columns)) + 1
+            for t in range(1, self.p.d + 1)
+        )
+        return BudgetExceeded(
+            f"degree {k} scan passes the budget of {cap} nodes "
+            f"(bounding box {volume} candidates)"
+        )
+
+    def stream(self, k: int, interior_only: bool, vertex_lattice: bool, cap: int):
+        """Yield the fibers of the degree-k slice as the scan finds them; return the Slice.
+
+        The slice holds the points z = (k, z_1..z_d) with a.z >= 0 for every
+        facet normal a, or a.z >= 1 with `interior_only`, and with
+        `vertex_lattice` only those of the lattice of `lattice_rows`.
+        Coordinates are fixed left to right.  At level t the normals b of
+        `shadows[t-1]`, the facets of the shadow C_t(tau), have t+1 entries
+        and a leading entry +-1, so each bounds z_t alone once the prefix is
+        fixed: z_t >= -b.prefix where it is 1, z_t <= b.prefix where it is
+        -1.  The range of z_t is thus the exact real one the closed slice
+        leaves to the prefix, and no node is visited whose prefix lies
+        outside the shadow.  Interior and lattice slices lie inside the
+        closed slice, so those bounds hold for them too; level d is C_d(tau)
+        itself, whose normals are the facets, and bounds with the interior
+        offset, so every value of its range is a point and that level is
+        emitted whole.  Each normal's sum over the prefix is carried down the
+        recursion, one product per fixed coordinate.
+
+        A prefix lies in the lattice exactly when each coordinate t is
+        congruent, modulo the Hermite pivot, to the offset the earlier
+        lattice coordinates put on column t; so coordinate t steps through
+        that residue class and never visits a point outside the lattice.
+        Only the nonzero entries above a pivot carry an offset: with the
+        identity basis the scan does no lattice arithmetic at all.
+
+        Each point is emitted as L.z for the unit lower-triangular rows L of
+        `to_moment`, or as z in the moment frame.  Emitted coordinate t is z_t
+        plus a shift sum_{j<t} L[t][j] z_j that only the prefix sets, so each
+        node computes it once and carries the emitted prefix beside the scan
+        prefix.  The last range, shifted, is a fiber of its emitted prefix,
+        and no point is built.
+
+        A node is one call of the level function: the root, and one per value
+        tried at each level below d.  Node cap + 1 raises `refusal`.
+        """
+        if k < 0:
+            raise InvalidParameters("dilation degree must be nonnegative")
+        shadows, to_moment = self.shadows, self.to_moment
+        d = self.p.d
+        if vertex_lattice:
+            basis = self.lattice_rows
+        else:
+            basis = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
+        eps = 1 if interior_only else 0
+        pivots = [basis[t][t] for t in range(d + 1)]  # pivots[0] is 1: every vertex has x0 = 1
+        # the nonzero entries above each pivot, by column; a row's lattice
+        # coordinate is stored only when a later column reads it
+        above = [[(i, basis[i][t]) for i in range(t) if basis[i][t]] for t in range(d + 1)]
+        stored = [any(basis[t][s] for s in range(t + 1, d + 1)) for t in range(d + 1)]
+        # the nonzero entries left of the unit diagonal of L, by row
+        lower = [
+            [(j, c) for j, c in enumerate(row[:t]) if c] for t, row in enumerate(to_moment or ())
+        ]
+        # level t's normals split by the sign of their leading entry: lower, then upper bounds
+        sides = [
+            [[b for b in level if b[-1] == sign] for sign in (1, -1)] for level in shadows
+        ]
+        # coefs[t][u]: entry t of the normals of level t+1+u, the ones fixing z_t feeds
+        coefs = [None] + [
+            [[[b[t] for b in side] for side in level] for level in sides[t:]] for t in range(1, d)
+        ]
+        coords = [k] + [0] * d  # lattice coordinates of the prefix
+        prefix = [k] + [0] * d
+        fibers = []
+        nodes = 0
+
+        def rec(t: int, sums, head):
+            # sums[u]: per side of level t+u, each normal's sum over the prefix
+            nonlocal nodes
+            nodes += 1
+            if nodes > cap:
+                raise self.refusal(k, cap)
+            low, high = sums[0]
+            floor = eps if t == d else 0
+            lo, hi = floor - min(low), min(high) - floor
+            step, offset, store = pivots[t], 0, stored[t]
+            if step != 1:  # a unit pivot has nothing above it and admits every residue
+                offset = sum(coords[i] * b for i, b in above[t])
+                lo += (offset - lo) % step
+            if lo > hi:
+                return
+            shift = sum(prefix[j] * c for j, c in lower[t]) if lower else 0
+            if t == d:
+                fiber = (head, lo + shift, hi - (hi - lo) % step + shift)
+                fibers.append(fiber)
+                yield fiber
+                return
+            later = list(zip(sums[1:], coefs[t]))
+            for z in range(lo, hi + 1, step):
+                prefix[t] = z
+                if store:
+                    coords[t] = (z - offset) // step
+                nxt = [
+                    [[s + c * z for s, c in zip(ss, cs)] for ss, cs in zip(level, cols)]
+                    for level, cols in later
+                ]
+                yield from rec(t + 1, nxt, head + (z + shift,))
+
+        start = [[[b[0] * k for b in side] for side in level] for level in sides]
+        yield from rec(1, start, (k,))
+        return Slice(tuple(fibers), pivots[d], nodes)
 
 
 @dataclass(frozen=True)
@@ -172,108 +298,56 @@ class Instance:
             self._frames[name] = ScanFrame(self.p, name)
         return self._frames[name]
 
+    def step(self, vertex_lattice: bool = False) -> int:
+        """The step along the last coordinate within a fiber."""
+        return self.frame(TRANSFORMED).lattice_rows[-1][-1] if vertex_lattice else 1
+
+    def fibers(
+        self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
+        budget: int | None = None,
+    ):
+        """The fibers of the degree-k slice in scan order, streamed as the scan finds them.
+
+        A stream read to its end is kept in the memo; one left early, at a
+        gap or at the budget, leaves no entry.  A memo hit whose scan
+        visited more nodes than `budget` allows is scanned afresh, so the
+        stream stops where a fresh one would: at a gap before the budget,
+        or at the refusal a fresh scan gives.
+        """
+        key = (k, interior_only, vertex_lattice)
+        cap = resolve_budget(budget)
+        memo = self._slices.get(key)
+        if memo is not None and memo.nodes <= cap:
+            yield from memo.fibers
+            return
+        scan = self.frame(TRANSFORMED).stream(k, interior_only, vertex_lattice, cap)
+        self._slices[key] = yield from scan
+
     def slice(
         self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
         budget: int | None = None,
     ) -> Slice:
-        """The degree-k slice in scan order, enumerated once and kept as its fibers.
+        """The whole degree-k slice in scan order, enumerated once and kept as its fibers.
 
-        A memo hit passes the box check a fresh enumeration under `budget` makes.
+        A memo hit whose scan visited more nodes than `budget` allows
+        refuses with the message a fresh scan gives.
         """
         key = (k, interior_only, vertex_lattice)
-        if key in self._slices:
-            self.frame(TRANSFORMED).box(k, budget)
-        else:
-            self._slices[key] = enumerate_points(
+        memo = self._slices.get(key)
+        if memo is None:
+            memo = enumerate_points(
                 self.p, k, interior_only, budget=budget, vertex_lattice=vertex_lattice
             )
-        return self._slices[key]
+            self._slices[key] = memo
+        elif memo.nodes > (cap := resolve_budget(budget)):
+            raise self.frame(TRANSFORMED).refusal(k, cap)
+        return memo
 
 
 @lru_cache(maxsize=1)
 def instance(p: CycloParams) -> Instance:
     """The shared context of p: the latest one is kept."""
     return Instance(p)
-
-
-def _scan_box(k, lows, highs, normals, eps, basis, to_moment):
-    """Points z = (k, z_1..z_d) of the lattice `basis` in the box with a.z >= eps for all a.
-
-    `basis` holds the rows of a full-rank row-style Hermite form, so row t
-    has its pivot on the diagonal.  Coordinates are fixed left to right.
-    Each inequality narrows the current coordinate range using interval
-    bounds on the still-free coordinates, so by the last nonzero
-    coordinate of a normal that inequality is fully enforced: every value
-    of the last range is a point, and that level is emitted whole.  A
-    prefix lies in the lattice exactly when each coordinate t is
-    congruent, modulo the pivot basis[t][t], to the offset the earlier
-    lattice coordinates put on column t; so coordinate t steps through
-    that residue class and never visits a point outside the lattice.
-    Only the nonzero entries above a pivot carry an offset: with the
-    identity basis the scan does no lattice arithmetic at all.
-
-    Each point is emitted as L.z for the unit lower-triangular rows L of
-    `to_moment`, or as z when it is None.  Emitted coordinate t is z_t
-    plus a shift sum_{j<t} L[t][j] z_j that only the prefix sets, so each
-    node computes it once and carries the emitted prefix beside the scan
-    prefix.  The last range, shifted, is recorded as the fiber of its
-    emitted prefix, and no point is built.
-    """
-    d = len(lows)
-    pivots = [basis[t][t] for t in range(d + 1)]  # pivots[0] is 1: every vertex has x0 = 1
-    # the nonzero entries above each pivot, by column; a row's lattice
-    # coordinate is stored only when a later column reads it
-    above = [[(i, basis[i][t]) for i in range(t) if basis[i][t]] for t in range(d + 1)]
-    stored = [any(basis[t][s] for s in range(t + 1, d + 1)) for t in range(d + 1)]
-    # the nonzero entries left of the unit diagonal of L, by row
-    lower = [[(j, c) for j, c in enumerate(row[:t]) if c] for t, row in enumerate(to_moment or ())]
-    coords = [k] + [0] * d  # lattice coordinates of the prefix
-    items = []
-    for a in normals:
-        maxfut = [0] * (d + 2)
-        for t in range(d, 0, -1):
-            maxfut[t] = maxfut[t + 1] + max(a[t] * lows[t - 1], a[t] * highs[t - 1])
-        items.append((a, maxfut))
-    fibers = []
-    prefix = [k] + [0] * d
-
-    def rec(t: int, partials, head) -> None:
-        lo, hi = lows[t - 1], highs[t - 1]
-        for (a, maxfut), part in zip(items, partials):
-            at = a[t]
-            rest = maxfut[t + 1]
-            if at == 0:
-                if part + rest < eps:  # a_t is zero: prune on reachability
-                    return
-            elif at > 0:
-                need = eps - part - rest
-                bound = -((-need) // at)  # ceil division
-                if bound > lo:
-                    lo = bound
-            else:
-                cap = part + rest - eps
-                bound = cap // (-at)  # floor division
-                if bound < hi:
-                    hi = bound
-        step, offset, store = pivots[t], 0, stored[t]
-        if step != 1:  # a unit pivot has nothing above it and admits every residue
-            offset = sum(coords[i] * b for i, b in above[t])
-            lo += (offset - lo) % step
-        if lo > hi:
-            return
-        shift = sum(prefix[j] * c for j, c in lower[t]) if lower else 0
-        if t == d:  # the range enforces every facet: each value is a point
-            fibers.append((head, lo + shift, hi - (hi - lo) % step + shift))
-            return
-        for z in range(lo, hi + 1, step):
-            prefix[t] = z
-            if store:
-                coords[t] = (z - offset) // step
-            partials_z = [part + a[t] * z for (a, _), part in zip(items, partials)]
-            rec(t + 1, partials_z, head + (z + shift,))
-
-    rec(1, [a[0] * k for a, _ in items], (k,))
-    return Slice(tuple(fibers), pivots[d])
 
 
 def enumerate_points(
@@ -291,23 +365,20 @@ def enumerate_points(
     facet.  vertex_lattice keeps only points of the lattice the vertices
     span, and the scan visits no others: it steps through residue classes
     of the Hermite form of the vertex columns in the scanning frame.  The
-    budget still caps the full bounding box either way, checked before
-    any scan data is built.  `frame` selects the coordinates enumeration
-    works in; the scan emits moment coordinates either way, and in
-    lexicographic order with no sort: it fixes coordinates left to right
-    over ascending ranges, and the map back is unit lower-triangular, so
-    both frames give equal slices, fiber for fiber.
+    budget caps the nodes the scan visits.  `frame` selects the
+    coordinates enumeration works in; the scan emits moment coordinates
+    either way, and in lexicographic order with no sort: it fixes
+    coordinates left to right over ascending ranges, and the map back is
+    unit lower-triangular, so both frames give equal slices, fiber for
+    fiber.
     """
-    if k < 0:
-        raise InvalidParameters("dilation degree must be nonnegative")
     scan = instance(p).frame(frame)
-    lows, highs = scan.box(k, budget)
-    if vertex_lattice:
-        basis = scan.lattice_rows
-    else:
-        basis = [tuple(int(i == j) for j in range(p.d + 1)) for i in range(p.d + 1)]
-    eps = 1 if interior_only else 0
-    return _scan_box(k, lows, highs, scan.normals, eps, basis, scan.to_moment)
+    stream = scan.stream(k, interior_only, vertex_lattice, resolve_budget(budget))
+    while True:
+        try:
+            next(stream)
+        except StopIteration as end:
+            return end.value
 
 
 def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:

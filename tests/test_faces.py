@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotoric.core import InvalidParameters, build_params, transform, vertex
+from cyclotoric.core import CycloParams, InvalidParameters, build_params, transform, vertex
 from cyclotoric.faces import (
     NotAFacet,
     decompose,
@@ -129,6 +129,18 @@ class TestFacets:
     def test_matches_bruteforce(self, p):
         assert facets(p) == brute_facets(p)
 
+    def test_generated_sets_match_the_hyperplane_oracle_to_n_11(self):
+        # the evenness generator, one instance per (d, n) up to d = 6, n = 11;
+        # facets do not depend on the parameters, only on d and n
+        rng = random.Random(20261019)
+        for d in range(1, 7):
+            for n in range(d + 1, 12):
+                tau = [0]
+                for _ in range(n - 1):
+                    tau.append(tau[-1] + rng.randint(1, 2))
+                p = build_params(d, tau)
+                assert facets(p) == brute_facets(p), (d, tau)
+
 
 class TestFacetHyperplane:
     def test_oriented_primitive_normal(self):
@@ -230,6 +242,15 @@ class TestFrameNormals:
                 for i, col in enumerate(frame.columns, start=1):
                     assert (dot(a, col) == 0) == (i in w), (p, name, w, i)
                     assert dot(a, col) >= 0, (p, name, w, i)
+            # the shadow normals: the facets of C_t(tau) on the first t+1 coordinates
+            assert frame.shadows[-1] == frame.normals
+            for t, level in enumerate(frame.shadows, start=1):
+                shadow = CycloParams(t, p.tau)
+                for w, a in zip(facets(shadow), level, strict=True):
+                    assert len(a) == t + 1 and a[-1] in (1, -1), (p, name, t, w)
+                    for i, col in enumerate(frame.columns, start=1):
+                        assert (dot(a, col[: t + 1]) == 0) == (i in w), (p, name, t, w, i)
+                        assert dot(a, col[: t + 1]) >= 0, (p, name, t, w, i)
 
 
 class TestNonfacePartitions:

@@ -155,10 +155,15 @@ class TestIsNormal:
     def test_fiber_scan_matches_the_pointwise_reference(self):
         # verdict and witness of both rings, against the scan point by point,
         # both at the default bound max(1, d-1), which also caps a higher
-        # max_degree.  K[P] runs under budget 5 and 10**5; K[Q] runs under 5,
-        # the default and 10**12, which admits them all.  Where the budget
-        # admits degree d, the default scan also equals the reference run to
-        # degree d: the d-1 theorem itself
+        # max_degree.  K[P] runs under budgets of 5 and 200 scan nodes; K[Q]
+        # runs under 5, the default and 10**12, which admits them all.  Under
+        # one budget the streamed scan refuses nothing the full-slice
+        # reference finishes, and gives its answer; where only the stream
+        # finishes, at a gap before the budget, it gives the answer of the
+        # reference run under a lifted budget.  K[P] has no gap here, so both
+        # routes read the same slices.  Where the budget admits degree d, the
+        # default scan also equals the reference run to degree d: the d-1
+        # theorem itself
         def outcome(scan, p, max_degree, budget):
             try:
                 return scan(p, max_degree, budget=budget)
@@ -183,29 +188,34 @@ class TestIsNormal:
                 return "inconclusive", None
             return ("normal", None) if witness is None else ("not_normal", witness)
 
-        seen, full_bound = set(), Counter()
+        seen, full_bound, early = set(), Counter(), 0
         for d, tau in gap_family(max_d=3, max_n=6, max_gap=3):
             p = build_params(d, tau)
             for max_degree in (None, 0, 1, 2):
                 bound = normality_bound(p.d)
                 if max_degree is not None:
                     bound = min(bound, max_degree)
-                for budget in (5, 10**5):
+                for budget in (5, 200):
                     kp = outcome(is_normal_kp, p, max_degree, budget)
                     assert kp == outcome(reference_kp, p, bound, budget), (p, max_degree)
                     seen.add(kp if kp == "budget" else kp[0])
                 for budget in (5, None, 10**12):
                     kq = is_normal_kq_bruteforce(p, max_degree, budget=budget)
-                    assert kq == reference_kq(p, bound, budget), (p, max_degree, budget)
+                    ref = reference_kq(p, bound, budget)
+                    if ref[0] == "inconclusive" and kq[0] != "inconclusive":
+                        ref = reference_kq(p, bound, 10**12)
+                        early += 1
+                    assert kq == ref, (p, max_degree, budget)
                     seen.add(kq[0])
-            full = outcome(reference_kp, p, p.d, 10**5)
+            full = outcome(reference_kp, p, p.d, 200)
             if full != "budget":
-                assert is_normal_kp(p, budget=10**5) == full, p
+                assert is_normal_kp(p, budget=200) == full, p
                 full_bound["kp"] += 1
             full = reference_kq(p, p.d, 10**12)
             assert is_normal_kq_bruteforce(p, budget=10**12) == full, p
             full_bound[full[0]] += 1
         assert seen == {True, "budget", "normal", "not_normal", "inconclusive"}
+        assert early > 0
         assert full_bound == {"kp": 734, "normal": 51, "not_normal": 1023}, full_bound
 
     def test_a_non_normal_polytope_gets_the_reference_witness(self):
@@ -222,6 +232,9 @@ class TestIsNormal:
                 assert first_gap(ctx, tuple(ctx.slice(1).fibers), bound) == want, (r, bound)
 
     def test_both_rings_match_the_cone_probe_scans(self):
+        # under budget 5 the cone-probe scans, which read whole slices to
+        # degree d, refuse at least where the streamed scans do, and agree
+        # with them where they finish
         def kp_outcome(check, p, **kw):
             try:
                 return check(p, **kw)
@@ -240,10 +253,16 @@ class TestIsNormal:
                 kq = is_normal_kq_bruteforce(p, max_degree)
                 assert kq == cone_probe_normal_kq(p, max_degree), (d, tau, max_degree)
                 seen.update((kp[0], kq[0]))
+                if max_degree is None:
+                    full_kp, full_kq = kp, kq
             kp = kp_outcome(is_normal_kp, p, budget=5)
-            assert kp == kp_outcome(cone_probe_normal_kp, p, budget=5), (d, tau)
+            ref = kp_outcome(cone_probe_normal_kp, p, budget=5)
+            assert kp == ref or (ref == "budget" and kp in ("budget", full_kp)), (d, tau)
             kq = is_normal_kq_bruteforce(p, budget=5)
-            assert kq == cone_probe_normal_kq(p, budget=5), (d, tau)
+            ref = cone_probe_normal_kq(p, budget=5)
+            if ref[0] == "inconclusive":
+                ref = kq if kq[0] == "inconclusive" else full_kq
+            assert kq == ref, (d, tau)
             seen.update((kp if kp == "budget" else kp[0], kq[0]))
         # every K[P] in this family is normal; only K[Q] yields witnesses
         assert seen >= {True, "budget", "normal", "not_normal", "inconclusive"}
@@ -262,6 +281,12 @@ class _BoxContext:
         for i, apex in enumerate(vertices):
             m = minors_normal(vertices[:i] + vertices[i + 1 :])
             self.normals.append(m if dot(m, apex) > 0 else [-x for x in m])
+
+    def step(self, vertex_lattice=False):
+        return 1
+
+    def fibers(self, k, vertex_lattice=False, budget=None):
+        return self.slice(k).fibers
 
     def slice(self, k, vertex_lattice=False, budget=None):
         from itertools import groupby

@@ -248,3 +248,52 @@ class TestClassify:
             assert r.normal == "yes"
         if r.case == "principal_d2":
             assert p.d >= 2 and r.normal == "no"
+
+
+class TestWideFamilyD4:
+    """The canonical d = 4, n = d+3..d+4, gap <= 3 family: the d = 4 part of a wide K[Q] scan."""
+
+    @staticmethod
+    def family():
+        for d, tau in gap_family(max_d=4, max_n=8, max_gap=3, d_min=4):
+            gaps = tuple(b - a for a, b in zip(tau, tau[1:]))
+            if len(tau) >= 7 and gaps <= gaps[::-1]:  # the canonical ones
+                yield build_params(d, tau)
+
+    def test_every_verdict_settles_under_the_default_budget(self):
+        # the divisibility criterion is silent on some of them; the search
+        # that stops at its first gap settles those at degree 1
+        from cyclotoric.faces import facet_hyperplane, facets
+        from cyclotoric.intlinalg import dot, lattice_contains
+        from cyclotoric.lattice import MOMENT, instance
+
+        searched = 0
+        for p in self.family():
+            r = classify_kq(p, use_bruteforce=True)
+            assert r.normal != "unknown", p
+            if r.evidence["kind"] != "bruteforce_witness":
+                continue
+            searched += 1
+            z = tuple(r.evidence["witness"])
+            ctx = instance(p)
+            assert all(dot(facet_hyperplane(w, p), z) >= 0 for w in facets(p)), (p, z)
+            assert lattice_contains(ctx.frame(MOMENT).lattice_rows, z), (p, z)
+            assert z not in ctx.vertices, (p, z)
+        assert searched > 0
+
+    def test_the_stream_finds_the_reference_gap(self):
+        # under a lifted budget, the first gap of the stream is the one the
+        # point-by-point reference finds on whole slices
+        from cyclotoric.kp import first_gap
+        from cyclotoric.lattice import instance
+
+        from _oracles import pointwise_first_gap
+
+        for p in self.family():
+            if divisibility_test(p) is not None:
+                continue
+            ctx = instance(p)
+            gens = tuple((v[:-1], v[-1], v[-1]) for v in ctx.vertices)
+            got = first_gap(ctx, gens, 1, vertex_lattice=True, budget=10**12)
+            want = pointwise_first_gap(ctx, ctx.vertices, 1, vertex_lattice=True, budget=10**12)
+            assert got == want and got is not None, p

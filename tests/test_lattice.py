@@ -1,6 +1,7 @@
 """Exact enumeration, dilation counts, and the generating-series numerator."""
 
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import cyclotoric.lattice as lattice_mod
 
-from cyclotoric.core import CycloParams, InvalidParameters, build_params
+from cyclotoric.core import CycloParams, InvalidParameters, build_params, transform
 from cyclotoric.faces import facet_hyperplane, facets
 from cyclotoric.intlinalg import dot
 from cyclotoric.lattice import (
@@ -29,6 +30,25 @@ from _oracles import (
     vandermonde_product,
 )
 from _strategies import cyclo_params
+
+# the bounding-box volume the budget capped before it counted scan nodes:
+# point-by-point checks select the slices whose box stays below it
+BOX_CAP = 10**6
+LIFTED = 10**12
+
+
+def box_volume(p, k, frame):
+    """Candidates in the degree-k bounding box of the vertex columns of `frame`."""
+    from cyclotoric.core import vertex
+
+    if frame == "moment":
+        cols = [vertex(p, i) for i in range(1, p.n + 1)]
+    else:
+        tm = transform(p)
+        cols = [tm.column(i) for i in range(1, p.n + 1)]
+    return prod(
+        k * (max(c[t] for c in cols) - min(c[t] for c in cols)) + 1 for t in range(1, p.d + 1)
+    )
 
 
 class TestEnumeratePoints:
@@ -69,12 +89,11 @@ class TestEnumeratePoints:
         for frame, lattice, interior, k in iproduct(
             ("moment", "transformed"), (False, True), (False, True), (1, 2, 3)
         ):
-            try:
-                pts = list(enumerate_points(
-                    p, k, interior, frame=frame, budget=10**6, vertex_lattice=lattice
-                ))
-            except BudgetExceeded:
+            if box_volume(p, k, frame) > BOX_CAP:
                 continue
+            pts = list(enumerate_points(
+                p, k, interior, frame=frame, budget=LIFTED, vertex_lattice=lattice
+            ))
             assert all(a < b for a, b in zip(pts, pts[1:])), (p, frame, lattice, interior, k)
 
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
@@ -107,12 +126,11 @@ class TestEnumeratePoints:
         for frame, lattice, interior, k in iproduct(
             ("moment", "transformed"), (False, True), (False, True), (0, 1, 2, 3)
         ):
-            try:
-                pts = enumerate_points(
-                    p, k, interior, frame=frame, budget=10**6, vertex_lattice=lattice
-                )
-            except BudgetExceeded:
+            if box_volume(p, k, frame) > BOX_CAP:
                 continue
+            pts = enumerate_points(
+                p, k, interior, frame=frame, budget=LIFTED, vertex_lattice=lattice
+            )
             where = (p, frame, lattice, interior, k)
             points = list(pts)
             assert json.loads(json.dumps(points)) == [list(z) for z in points], where
@@ -162,8 +180,11 @@ class TestEnumeratePoints:
 class TestAgainstNaiveBoxScan:
     @given(cyclo_params(max_d=3, max_n=5, max_gap=2))
     @settings(max_examples=25, deadline=None)
+    @example(CycloParams(4, (0, 1, 2, 3, 4)))
     def test_matches_unpruned_filter(self, p):
-        # independent of the branch-and-bound path: filter the full moment-frame box
+        # independent of the branch-and-bound path: filter the full moment-frame
+        # box.  At d = 4 the shadows bound three inner levels; its degree-2
+        # box holds 2*10**7 candidates, so d = 4 checks degree 1 alone
         from itertools import product as iproduct
 
         from cyclotoric.core import translate, vertex
@@ -172,39 +193,36 @@ class TestAgainstNaiveBoxScan:
         p = translate(p, -p.tau[0])
         hps = [facet_hyperplane(w, p) for w in facets(p)]
         verts = [vertex(p, i) for i in range(1, p.n + 1)]
-        for k, interior in ((1, False), (1, True), (2, False)):
+        for k in (1, 2) if p.d < 4 else (1,):
             ranges = [
                 range(k * min(v[t] for v in verts), k * max(v[t] for v in verts) + 1)
                 for t in range(1, p.d + 1)
             ]
-            naive = sorted(
+            closed = sorted(
                 (k,) + rest
                 for rest in iproduct(*ranges)
-                if all(dot(h, (k,) + rest) >= (1 if interior else 0) for h in hps)
+                if all(dot(h, (k,) + rest) >= 0 for h in hps)
             )
-            assert list(enumerate_points(p, k, interior)) == naive
+            assert list(enumerate_points(p, k)) == closed
+            if k == 1:
+                strict = [z for z in closed if all(dot(h, z) >= 1 for h in hps)]
+                assert list(enumerate_points(p, k, True)) == strict
 
 
 class TestVertexLatticeScan:
     """The residue-class scan must equal the full slice filtered by membership."""
 
     @staticmethod
-    def check(p, budget=None):
+    def check(p, budget=None, max_box=None):
         from cyclotoric.kq import generator_lattice
 
         lat = generator_lattice(p)
         hps = [facet_hyperplane(w, p) for w in facets(p)]
         for frame in ("moment", "transformed"):
             for k in (1, 2):
-                try:
-                    full = enumerate_points(p, k, frame=frame, budget=budget)
-                except BudgetExceeded:
-                    for interior in (False, True):
-                        with pytest.raises(BudgetExceeded):
-                            enumerate_points(
-                                p, k, interior, frame=frame, budget=budget, vertex_lattice=True
-                            )
+                if max_box is not None and box_volume(p, k, frame) > max_box:
                     continue
+                full = enumerate_points(p, k, frame=frame, budget=budget)
                 members = [z for z in full if lat.contains(z)]
                 strict = [z for z in members if all(dot(h, z) > 0 for h in hps)]
                 for interior, expected in ((False, members), (True, strict)):
@@ -212,14 +230,16 @@ class TestVertexLatticeScan:
                         p, k, interior, frame=frame, budget=budget, vertex_lattice=True
                     )
                     assert list(got) == expected, (p, frame, k, interior)
+                    # at every level it tries a subset of the full scan's values
+                    assert got.nodes <= full.nodes, (p, frame, k, interior)
 
     @given(cyclo_params(max_d=3, max_n=6, max_gap=3))
     @settings(max_examples=25, deadline=None)
     def test_matches_filtered_slice(self, p):
         from cyclotoric.core import translate
 
-        # moment-frame boxes grow like tau^d; a small budget exercises the refusal too
-        self.check(translate(p, -p.tau[0]), budget=10**6)
+        # moment-frame boxes grow like tau^d
+        self.check(translate(p, -p.tau[0]), budget=LIFTED, max_box=BOX_CAP)
 
     def test_index_240_instance(self):
         from cyclotoric.kq import generator_lattice
@@ -229,19 +249,23 @@ class TestVertexLatticeScan:
         self.check(p)
 
     def test_d4_instance_under_the_default_budget(self):
-        # degree 2 is refused in the moment frame and scanned in the transformed one
+        # both frames scan degree 2 under the default budget, in 1,976 nodes each
         self.check(build_params(4, [0, 1, 2, 4, 5, 6]))
 
     def test_budget_refuses_the_same_box(self):
-        # the budget caps the full bounding box, not the lattice points inside it
+        # the budget caps the nodes a scan visits, on either lattice: one node
+        # fewer than a scan needs refuses it, and the refusal names the box
         p = build_params(3, [0, 1, 3, 5, 8, 11])
-        with pytest.raises(BudgetExceeded) as refused:
-            enumerate_points(p, 1, budget=1)
-        volume = int(str(refused.value).split()[3])
+        volume = box_volume(p, 1, "transformed")
         for vertex_lattice in (False, True):
-            with pytest.raises(BudgetExceeded):
-                enumerate_points(p, 1, budget=volume - 1, vertex_lattice=vertex_lattice)
-            assert enumerate_points(p, 1, budget=volume, vertex_lattice=vertex_lattice)
+            nodes = enumerate_points(p, 1, budget=LIFTED, vertex_lattice=vertex_lattice).nodes
+            with pytest.raises(BudgetExceeded) as refused:
+                enumerate_points(p, 1, budget=nodes - 1, vertex_lattice=vertex_lattice)
+            message = str(refused.value)
+            assert "degree 1 " in message and f" {nodes - 1} nodes" in message
+            assert f"bounding box {volume} candidates" in message
+            got = enumerate_points(p, 1, budget=nodes, vertex_lattice=vertex_lattice)
+            assert got.nodes == nodes
 
 
 class TestPickConsistency:
@@ -303,7 +327,7 @@ class TestHStar:
     def test_top_entry_counts_interior(self, p):
         # Ehrhart-Macdonald reciprocity: h*_d counts the interior lattice points;
         # the budget admits every polygon and the smaller instances of d = 3, 4
-        budget = 10**7
+        budget = 2000
         try:
             h = h_star(p, budget=budget)
         except BudgetExceeded:
@@ -319,7 +343,7 @@ class TestHStar:
         # h* from full counts to degree ceil(d/2) and interior counts to
         # floor(d/2) equals the binomial transform of the counts of every
         # degree 0..d; the budget admits the smaller instances of d = 4
-        budget = 10**8
+        budget = 2 * 10**4
         try:
             expected = h_star_all_degrees(p, budget=budget)
         except BudgetExceeded:
@@ -343,19 +367,21 @@ class TestHStar:
 
 class TestBudget:
     def test_refuses_oversized_box(self):
+        # the scan of this slice visits 5 nodes
+        assert enumerate_points(build_params(2, [0, 1, 3]), 1, budget=5).nodes == 5
         with pytest.raises(BudgetExceeded):
-            enumerate_points(build_params(2, [0, 1, 3]), 1, budget=5)
+            enumerate_points(build_params(2, [0, 1, 3]), 1, budget=4)
 
     def test_explicit_budget_allows(self):
         assert len(enumerate_points(build_params(2, [0, 1, 3]), 1, budget=100)) == 7
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BUDGET_ENV_VAR, "5")
-        assert resolve_budget() == 5
+        monkeypatch.setenv(BUDGET_ENV_VAR, "4")
+        assert resolve_budget() == 4
         with pytest.raises(BudgetExceeded):
             enumerate_points(build_params(2, [0, 1, 3]), 1)
         monkeypatch.delenv(BUDGET_ENV_VAR)
-        assert resolve_budget() == 10**8
+        assert resolve_budget() == 10**6
 
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "5")
@@ -373,19 +399,18 @@ class TestInstance:
         import cyclotoric.kq as kq_mod
 
         calls = Counter()
-        original = lattice_mod.enumerate_points
+        original = lattice_mod.ScanFrame.stream
 
-        def counting(p, k, interior_only=False, **kw):
-            calls[(k, interior_only, kw.get("vertex_lattice", False))] += 1
-            return original(p, k, interior_only, **kw)
+        def counting(frame, k, interior_only, vertex_lattice, cap):
+            calls[(k, interior_only, vertex_lattice)] += 1
+            return original(frame, k, interior_only, vertex_lattice, cap)
 
-        # also where a stage might hold its own reference to the primitive
-        for mod in (lattice_mod, kp_mod, kq_mod):
-            monkeypatch.setattr(mod, "enumerate_points", counting, raising=False)
+        # the scan primitive: whole slices and streamed ones both start here
+        monkeypatch.setattr(lattice_mod.ScanFrame, "stream", counting)
         lattice_mod.instance.cache_clear()
         p = build_params(2, [0, 1, 2, 4, 6])
         assert p.n >= p.d + 3 and kq_mod.divisibility_test(p) is None
-        budget = 10**6  # not the default: each slice request carries it to the box check
+        budget = 10**5  # not the default: each slice request carries it to the node check
         kp_mod.classify_kp(p, oracle=True, budget=budget)
         assert calls[(1, False, False)] == 1 and max(calls.values()) == 1
         # stages with no budget of their own read the same context
@@ -400,19 +425,49 @@ class TestInstance:
         p = build_params(2, [0, 1, 3])
         assert h_star(p, budget=100).h == (1, 4, 1)
         assert interior_count(p, 1, budget=100) == 1
-        with pytest.raises(BudgetExceeded):
-            h_star(p, budget=5)
-        with pytest.raises(BudgetExceeded):
-            interior_count(p, 1, budget=5)
-        # a refused memo hit says what a fresh enumeration under that budget says
         ctx = lattice_mod.instance(p)
-        memo = ctx.slice(1, budget=100)
+        memo, inner = ctx.slice(1, budget=100), ctx.slice(1, True, budget=100)
+        assert (memo.nodes, inner.nodes) == (5, 5)  # each budget below refuses by one node
+        with pytest.raises(BudgetExceeded):
+            h_star(p, budget=4)
+        with pytest.raises(BudgetExceeded):
+            interior_count(p, 1, budget=4)
+        # a refused memo hit says what a fresh enumeration under that budget
+        # says, whether the slice is read whole or streamed
         with pytest.raises(BudgetExceeded) as hit:
-            ctx.slice(1, budget=5)
+            ctx.slice(1, budget=4)
+        with pytest.raises(BudgetExceeded) as streamed:
+            list(ctx.fibers(1, budget=4))
         with pytest.raises(BudgetExceeded) as fresh:
-            enumerate_points(p, 1, budget=5)
-        assert str(hit.value) == str(fresh.value)
-        assert ctx.slice(1, budget=100) is memo
+            enumerate_points(p, 1, budget=4)
+        assert str(hit.value) == str(streamed.value) == str(fresh.value)
+        assert ctx.slice(1, budget=5) is memo
+        assert list(ctx.fibers(1, budget=5)) == list(memo.fibers)
+
+    def test_a_stream_left_early_leaves_no_entry(self):
+        # only a stream read to its end is kept: one stopped at a gap or by
+        # the budget is not, and a later request scans afresh
+        p = build_params(3, [0, 1, 3, 5, 8, 11])
+        lattice_mod.instance.cache_clear()
+        ctx = lattice_mod.instance(p)
+        key = (1, False, True)
+        stream = ctx.fibers(1, vertex_lattice=True)
+        first = next(stream)
+        stream.close()
+        assert key not in ctx._slices
+        whole = enumerate_points(p, 1, vertex_lattice=True)
+        with pytest.raises(BudgetExceeded):
+            list(ctx.fibers(1, vertex_lattice=True, budget=whole.nodes - 1))
+        assert key not in ctx._slices
+        assert list(ctx.fibers(1, vertex_lattice=True, budget=whole.nodes)) == list(whole.fibers)
+        assert ctx._slices[key] == whole and whole.fibers[0] == first
+        # a K[Q] search stops at its first gap in degree 1
+        from cyclotoric.kq import is_normal_kq_bruteforce
+
+        lattice_mod.instance.cache_clear()
+        verdict, witness = is_normal_kq_bruteforce(p)
+        assert verdict == "not_normal"
+        assert key not in lattice_mod.instance(p)._slices
 
     def test_scan_data_built_once(self, monkeypatch):
         import cyclotoric.kp as kp_mod
