@@ -25,7 +25,7 @@ from itertools import product
 
 from .core import CycloParams, InvalidParameters, build_params, canonical_form
 from .divdiff import bvec, cone_coefficients, facet_lattice_index, r1_witness, support_form
-from .faces import NotAFacet, facet_hyperplane, facets
+from .faces import NotAFacet, facet_normals, facets
 from .intlinalg import dot
 from .kp import (
     NoWitnessExpected,
@@ -35,7 +35,7 @@ from .kp import (
     gorenstein_witnesses,
 )
 from .kq import RingReportKQ, classify_kq, kernel_binomial
-from .lattice import MOMENT, BudgetExceeded, enumerate_points, h_star, instance, resolve_budget
+from .lattice import BudgetExceeded, enumerate_points, h_star, resolve_budget
 
 SCHEMA_VERSION = 1
 
@@ -345,28 +345,26 @@ def _write_csv(fh, records: list[dict]) -> None:
 def cmd_witness_r1(args) -> int:
     p = _params(args)
     facet = tuple(sorted(_parse_index_list(args.facet)))
-    facet_hyperplane(facet, p)  # validates; raises NotAFacet otherwise
+    sf = support_form(facet, p)  # raises NotAFacet on anything but a facet
     apexes = [args.apex] if args.apex is not None else [
         k for k in range(1, p.n + 1) if k not in facet
     ]
-    sf = support_form(facet, p)
     idx = facet_lattice_index(facet, p)
-    print(f"facet {facet}: lattice slice index = {idx}")
+    lines = [f"facet {facet}: lattice slice index = {idx}"]
     all_ok = idx == 1
     for k in apexes:
-        if k in facet:
-            raise InvalidParameters("apex must lie outside the facet")
-        x = r1_witness(facet, k, p)
+        x = r1_witness(facet, k, p)  # a bad apex raises before any line is printed
         value = dot(sf, x)
         coeffs = cone_coefficients(x, sorted(facet + (k,)), p)
         in_cone = all(c >= 0 for c in coeffs)
         ok = value == 1 and in_cone
         all_ok = all_ok and ok
-        print(
+        lines.append(
             f"apex {k}: x={x} sigma={value} in_cone={str(in_cone).lower()} "
             f"coefficients={[str(c) for c in coeffs]} {'PASS' if ok else 'FAIL'}"
         )
-    print("PASS" if all_ok else "FAIL")
+    lines.append("PASS" if all_ok else "FAIL")
+    print("\n".join(lines))
     return 0
 
 
@@ -400,7 +398,7 @@ def _show_facets(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     payload = {"d": p.d, "n": p.n, "facets": [list(w) for w in sets]}
     if not args.normals:
         return payload, [",".join(map(str, w)) for w in sets]
-    normals = instance(p).frame(MOMENT).normals
+    normals = facet_normals(p)
     payload["normals"] = [list(a) for a in normals]
     return payload, [f"{','.join(map(str, w))}  normal={a}" for w, a in zip(sets, normals)]
 

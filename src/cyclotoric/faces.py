@@ -1,10 +1,12 @@
 """Face combinatorics of the boundary complex and exact facet normals.
 
 The boundary complex of a cyclic polytope is determined by pure
-combinatorics: split a subset of {1..n} into end sets (runs touching 1
-or n) and interior runs, and count the odd-sized interior runs.  Facets
-are the d-subsets with no odd interior run (the evenness rule).  The
-normal of facet W is the coefficient vector of the polynomial whose
+combinatorics.  Its facets are the d-subsets of {1..n} whose interior
+runs of consecutive indices, those touching neither 1 nor n, all have
+even size (Gale's evenness rule); `facets` is the one place that
+applies the rule.  The polytope is simplicial, so its proper faces are
+the subsets of facets, and every facet query is a lookup in that list.
+The normal of facet W is the coefficient vector of the polynomial whose
 roots are W's parameters: its value on vertex j is that polynomial at
 tau_j, which vanishes exactly on W and, by the evenness rule, has one
 sign on all the other vertices.
@@ -17,7 +19,6 @@ that rewrites the normals in another coordinate frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import CycloParams, InvalidParameters, root_polynomial
@@ -27,58 +28,16 @@ class NotAFacet(ValueError):
     """Raised when an operation needs a facet index set but got something else."""
 
 
-@dataclass(frozen=True)
-class SubsetDecomposition:
-    """Split of W into a low end set, ordered interior runs, and a high end set."""
-
-    y1: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    y2: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FaceType:
-    """Cardinality r and the number s of odd-sized interior runs."""
-
-    r: int
-    s: int
-
-
-def decompose(w, n: int) -> SubsetDecomposition:
-    """Unique decomposition of W into end sets and interior runs.
-
-    A run containing 1 or n is an end set; the remaining maximal runs of
-    consecutive integers are the interior blocks, in increasing order.
-    """
-    elems = sorted(set(w))
-    if elems and (elems[0] < 1 or elems[-1] > n):
-        raise InvalidParameters(f"subset elements must lie in 1..{n}")
-    runs: list[list[int]] = []
-    for x in elems:
-        if runs and runs[-1][-1] == x - 1:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    y1: tuple[int, ...] = ()
-    y2: tuple[int, ...] = ()
-    if runs and runs[0][0] == 1:
-        y1 = tuple(runs.pop(0))
-    if runs and runs[-1][-1] == n:
-        y2 = tuple(runs.pop())
-    return SubsetDecomposition(y1, tuple(tuple(r) for r in runs), y2)
-
-
-def face_type(w, n: int) -> FaceType:
-    dec = decompose(w, n)
-    r = len(dec.y1) + sum(len(b) for b in dec.blocks) + len(dec.y2)
-    s = sum(1 for b in dec.blocks if len(b) % 2 == 1)
-    return FaceType(r, s)
-
-
 def is_face(w, p: CycloParams) -> bool:
-    """Whether W spans a proper face of the boundary complex (empty set included)."""
-    ft = face_type(w, p.n)
-    return ft.r <= p.d and ft.s <= p.d - ft.r
+    """Whether W spans a proper face of the boundary complex (empty set included).
+
+    A cyclic polytope is simplicial, so its proper faces are exactly the
+    subsets of its facets.
+    """
+    w = set(w)
+    if w and (min(w) < 1 or max(w) > p.n):
+        raise InvalidParameters(f"subset elements must lie in 1..{p.n}")
+    return any(w.issubset(f) for f in facets(p))
 
 
 @lru_cache(maxsize=4096)
@@ -129,17 +88,19 @@ def facet_hyperplane(w, p: CycloParams) -> tuple[int, ...]:
     vertices off the facet; it vanishes on the facet's own.  The
     hyperplane passes through the apex of the homogenised cone, so the
     slack of a point x is dot(normal, x) in every dilation.  A set that
-    is not a facet raises NotAFacet.
+    is not one of `facets(p)`, such as one with a repeated, missing or
+    out-of-range index, raises NotAFacet.
     """
-    return _facet_hyperplane_cached(tuple(sorted(w)), p)
+    key = tuple(sorted(w))
+    normal = _facet_table(p).get(key)
+    if normal is None:
+        raise NotAFacet(f"{key} is not a facet index set")
+    return normal
 
 
-@lru_cache(maxsize=65536)
-def _facet_hyperplane_cached(w: tuple[int, ...], p: CycloParams) -> tuple[int, ...]:
-    ft = face_type(w, p.n)
-    if ft.r != p.d or ft.s != 0:
-        raise NotAFacet(f"{w} is not a facet index set")
-    return _oriented_normal(w, p)
+@lru_cache(maxsize=4096)
+def _facet_table(p: CycloParams) -> dict[tuple[int, ...], tuple[int, ...]]:
+    return dict(zip(facets(p), facet_normals(p), strict=True))
 
 
 def _oriented_normal(w: tuple[int, ...], p: CycloParams) -> tuple[int, ...]:

@@ -25,9 +25,9 @@ from .divdiff import (
     r1_witness,
     support_form,
 )
-from .faces import facets
+from .faces import facet_normals, facets
 from .intlinalg import dot, solve_exact, vec_sub
-from .lattice import MOMENT, TRANSFORMED, HStarVector, Instance, ScanFrame, h_star, instance
+from .lattice import TRANSFORMED, HStarVector, Instance, ScanFrame, h_star, instance
 
 
 def normality_bound(d: int) -> int:
@@ -149,7 +149,7 @@ def interior_generator_candidate(p: CycloParams) -> tuple[int, ...] | None:
     non-integral, and in either case no integer point can have value 1
     against every facet.
     """
-    rows = instance(p).frame(MOMENT).normals
+    rows = facet_normals(p)
     sol = solve_exact(rows, [1] * len(rows))
     if sol is None or any(x.denominator != 1 for x in sol):
         return None

@@ -8,7 +8,7 @@ import sys
 import traceback
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclotoric.cli import main
@@ -247,6 +247,22 @@ class TestWitnessCommands:
             "--apex", "2",
         )
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("apex", ["1", "4", "0"])
+    def test_r1_checks_the_apex_before_any_output(self, apex):
+        code, out = _main_output(
+            ["witness", "r1", "--d", "2", "--tau", "0,1,3", "--facet", "1,2", "--apex", apex]
+        )
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "d,tau,facet", [("1", "0,1", "1,1"), ("2", "0,1,3", "2,3,3")]
+    )
+    def test_r1_rejects_repeated_facet_indices(self, d, tau, facet):
+        res = run_cli("witness", "r1", "--d", d, "--tau", tau, "--facet", facet)
+        assert res.returncode == 2
+        assert "not a facet" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_gorenstein_witness_pair(self):
         res = run_cli("witness", "gorenstein", "--d", "2", "--tau", "0,2,4")
@@ -519,6 +535,7 @@ def test_negative_parameters_take_the_spaced_form(argv):
 
 class TestExitCodes:
     @given(cli_argv())
+    @example(["witness", "r1", "--d=1", "--tau=0,1", "--facet=1,1"])
     @settings(max_examples=300, deadline=None)
     def test_exit_code_is_documented(self, argv):
         err = io.StringIO()

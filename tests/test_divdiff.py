@@ -227,6 +227,15 @@ class TestR1Witness:
         with pytest.raises(InvalidParameters):
             r1_witness((2, 3), 9, build_params(2, [0, 1, 3]))
 
+    @pytest.mark.parametrize("d,tau,w,k", [(2, [0, 1, 3], (1, 2, 2), 3), (1, [0, 1], (1, 1), 2)])
+    def test_repeated_facet_index_is_not_a_facet(self, d, tau, w, k):
+        # as a set each is a facet; as a list it has a repeat and one entry too many
+        p = build_params(d, tau)
+        with pytest.raises(NotAFacet):
+            facet_chain_basis(w, p)
+        with pytest.raises(NotAFacet):
+            r1_witness(w, k, p)
+
     @given(cyclo_params(max_d=4, max_n=7, max_gap=3))
     @settings(max_examples=30, deadline=None)
     def test_value_one_and_cone_membership(self, p):

@@ -1,4 +1,5 @@
-"""Subset decomposition, face predicates, and facet normals in both frames."""
+"""The Gale-evenness facet list, the face predicate read from it, and facet normals
+in both frames, each checked against a hyperplane oracle."""
 
 import random
 
@@ -7,76 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotoric.core import CycloParams, InvalidParameters, build_params, transform, vertex
-from cyclotoric.faces import (
-    NotAFacet,
-    decompose,
-    face_type,
-    facet_hyperplane,
-    facets,
-    is_face,
-)
+from cyclotoric.faces import NotAFacet, facet_hyperplane, facets, is_face
 from cyclotoric.intlinalg import dot, mat_mul, primitive, vector_gcd
 from cyclotoric.lattice import MOMENT, TRANSFORMED, ScanFrame
 
 from _oracles import brute_facets, brute_is_face, gap_family, minors_normal, nonface_partitions
 from _strategies import cyclo_params
-
-
-class TestDecompose:
-    def test_mixed_example(self):
-        dec = decompose({1, 2, 5, 6, 7, 9}, 10)
-        assert dec.y1 == (1, 2)
-        assert dec.blocks == ((5, 6, 7), (9,))
-        assert dec.y2 == ()
-
-    def test_full_set_is_single_end_set(self):
-        dec = decompose(range(1, 7), 6)
-        assert dec.y1 == (1, 2, 3, 4, 5, 6) and dec.blocks == () and dec.y2 == ()
-
-    def test_lone_interior_element(self):
-        dec = decompose({3}, 5)
-        assert dec.y1 == () and dec.blocks == ((3,),) and dec.y2 == ()
-
-    def test_both_end_sets(self):
-        dec = decompose({1, 4, 5}, 5)
-        assert dec.y1 == (1,) and dec.blocks == () and dec.y2 == (4, 5)
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidParameters):
-            decompose({0, 1}, 4)
-        with pytest.raises(InvalidParameters):
-            decompose({5}, 4)
-
-    def test_empty(self):
-        dec = decompose((), 5)
-        assert dec.y1 == () and dec.blocks == () and dec.y2 == ()
-
-    @given(st.integers(2, 10), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_reassembly_is_identity(self, n, data):
-        w = data.draw(st.sets(st.integers(1, n)))
-        dec = decompose(w, n)
-        flat = dec.y1 + tuple(x for b in dec.blocks for x in b) + dec.y2
-        assert flat == tuple(sorted(w))
-        assert decompose(flat, n) == dec
-        for block in dec.blocks:
-            assert 1 < block[0] and block[-1] < n
-            assert list(block) == list(range(block[0], block[-1] + 1))
-
-
-class TestFaceType:
-    @pytest.mark.parametrize(
-        "w,n,expected",
-        [
-            ({1, 2, 5, 6, 7, 9}, 10, (6, 2)),
-            ({1, 2}, 4, (2, 0)),
-            ({2, 4}, 4, (2, 1)),
-            ((), 9, (0, 0)),
-        ],
-    )
-    def test_examples(self, w, n, expected):
-        ft = face_type(w, n)
-        assert (ft.r, ft.s) == expected
 
 
 class TestIsFace:
@@ -88,6 +25,13 @@ class TestIsFace:
 
     def test_empty_set(self):
         assert is_face((), build_params(2, [0, 1, 3]))
+
+    def test_out_of_range(self):
+        p = build_params(2, [0, 1, 2, 3])
+        with pytest.raises(InvalidParameters):
+            is_face({0, 1}, p)
+        with pytest.raises(InvalidParameters):
+            is_face({5}, p)
 
     @given(cyclo_params(max_d=5, max_n=8), st.data())
     @settings(max_examples=80, deadline=None)
@@ -160,6 +104,16 @@ class TestFacetHyperplane:
     def test_rejects_non_facet(self):
         with pytest.raises(NotAFacet):
             facet_hyperplane((1, 3), build_params(2, [0, 1, 2, 3]))
+
+    @pytest.mark.parametrize(
+        "d,tau,w",
+        [(2, [0, 1, 3], (1, 2, 2)), (1, [0, 1], (1, 1)), (2, [0, 1, 3], (1,)), (2, [0, 1, 3], (0, 1)),
+         (2, [0, 1, 3], (2, 4))],
+    )
+    def test_rejects_repeated_missing_or_out_of_range_indices(self, d, tau, w):
+        # a facet is a key of the evenness list, so no normal of another length comes back
+        with pytest.raises(NotAFacet):
+            facet_hyperplane(w, build_params(d, tau))
 
     @given(cyclo_params(max_d=4, max_n=7, max_gap=3))
     @settings(max_examples=40, deadline=None)
