@@ -24,15 +24,15 @@ from contextlib import ExitStack
 from itertools import product
 
 from .core import CycloParams, InvalidParameters, build_params, canonical_form
-from .divdiff import bvec, cone_coefficients, facet_lattice_index, r1_witness, support_form
+from .divdiff import bvec
 from .faces import NotAFacet, facet_normals, facets
-from .intlinalg import dot
 from .kp import (
     NoWitnessExpected,
     RingReportKP,
     classify_kp,
     gorenstein_oracle,
     gorenstein_witnesses,
+    r1_certificate,
 )
 from .kq import RingReportKQ, classify_kq, kernel_binomial
 from .lattice import BudgetExceeded, enumerate_points, h_star, resolve_budget
@@ -77,22 +77,15 @@ def derive_findings(
     ]
 
 
-def _parse_tau(text: str) -> tuple[int, ...]:
+def _int_list(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidParameters(f"tau must be a comma-separated integer list: {exc}") from None
-
-
-def _parse_index_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InvalidParameters("expected a comma-separated index list") from None
+        raise InvalidParameters(f"{name} must be a comma-separated integer list: {exc}") from None
 
 
 def _params(args) -> CycloParams:
-    return build_params(args.d, _parse_tau(args.tau))
+    return build_params(args.d, _int_list(args.tau, "tau"))
 
 
 def _classify_instance(
@@ -344,18 +337,12 @@ def _write_csv(fh, records: list[dict]) -> None:
 
 def cmd_witness_r1(args) -> int:
     p = _params(args)
-    facet = tuple(sorted(_parse_index_list(args.facet)))
-    sf = support_form(facet, p)  # raises NotAFacet on anything but a facet
-    apexes = [args.apex] if args.apex is not None else [
-        k for k in range(1, p.n + 1) if k not in facet
-    ]
-    idx = facet_lattice_index(facet, p)
+    facet = tuple(sorted(_int_list(args.facet, "facet")))
+    # a bad facet or apex raises before any line is printed
+    idx, rows = r1_certificate(facet, p, None if args.apex is None else [args.apex])
     lines = [f"facet {facet}: lattice slice index = {idx}"]
     all_ok = idx == 1
-    for k in apexes:
-        x = r1_witness(facet, k, p)  # a bad apex raises before any line is printed
-        value = dot(sf, x)
-        coeffs = cone_coefficients(x, sorted(facet + (k,)), p)
+    for k, x, value, coeffs in rows:
         in_cone = all(c >= 0 for c in coeffs)
         ok = value == 1 and in_cone
         all_ok = all_ok and ok
@@ -371,8 +358,8 @@ def cmd_witness_r1(args) -> int:
 def cmd_witness_gorenstein(args) -> int:
     p = _params(args)
     rep = gorenstein_witnesses(p)  # raises NoWitnessExpected on the Gorenstein family
+    oracle = gorenstein_oracle(p, budget=args.budget)
     if rep.oracle_needed:
-        oracle = gorenstein_oracle(p, budget=args.budget)
         print("no constructive witness pair for this family; exact route adjudicates")
         print(f"oracle: {oracle.status} generator={oracle.generator}")
         return 0
@@ -386,7 +373,6 @@ def cmd_witness_gorenstein(args) -> int:
             f"point {pt}: slacks={list(slack)} "
             f"{'strictly interior PASS' if ok else 'not interior FAIL'}"
         )
-    oracle = gorenstein_oracle(p, budget=args.budget)
     agree = oracle.status == "not_gorenstein"
     print(f"oracle: {oracle.status} {'PASS' if agree else 'FAIL'}")
     print("PASS" if rep.verified and agree else "FAIL")
@@ -404,7 +390,7 @@ def _show_facets(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
 
 
 def _show_bvec(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
-    s = _parse_index_list(args.set)
+    s = _int_list(args.set, "set")
     v = bvec(s, p)
     return {"set": sorted(set(s)), "vector": list(v)}, [" ".join(map(str, v))]
 
@@ -427,7 +413,7 @@ def _show_hstar(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
 
 
 def _show_points(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
-    pts = enumerate_points(p, args.k, args.interior, frame=args.frame, budget=args.budget)
+    pts = enumerate_points(p, args.k, args.interior, budget=args.budget)
     # tuples encode as JSON arrays; text lines are made only when printed
     return {"k": args.k, "points": list(pts)}, (" ".join(map(str, z)) for z in pts)
 
@@ -443,24 +429,40 @@ def cmd_print(args) -> int:
     return 0
 
 
-def _add_instance_args(sub) -> None:
-    sub.add_argument("--d", type=int, required=True, help="polytope dimension")
-    sub.add_argument("--tau", required=True, help="comma-separated increasing integers")
-
-
 def _max_degree(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return int(text)
 
 
-def _add_budget_arg(sub) -> None:
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="cap on the nodes each slice scan visits (default 10^6; env CYCLOTORIC_BUDGET)",
-    )
+FLAG = {"action": "store_true"}
+INSTANCE = (
+    ("--d", {"type": int, "required": True, "help": "polytope dimension"}),
+    ("--tau", {"required": True, "help": "comma-separated increasing integers"}),
+)
+RING = ("--ring", {"choices": ("kp", "kq", "both"), "default": "both"})
+MAX_DEGREE = ("--max-degree", {"type": _max_degree})
+BUDGET = ("--budget", {
+    "type": int,
+    "help": "cap on the nodes each slice scan visits (default 10^6; env CYCLOTORIC_BUDGET)",
+})
+JSON = ("--json", FLAG)
+# the printer commands: name, payload builder, options besides the instance and --json
+PRINTERS = (
+    ("facets", _show_facets, (("--normals", FLAG),)),
+    ("bvec", _show_bvec, (("--set", {"required": True, "help": "comma-separated index set"}),)),
+    ("kernel", _show_kernel, ()),
+    ("hstar", _show_hstar, (BUDGET,)),
+    ("points", _show_points, (("--k", {"type": int, "required": True}), ("--interior", FLAG),
+                              BUDGET)),
+)
+
+
+def _command(subs, name: str, about: str, options, **defaults) -> None:
+    sub = subs.add_parser(name, help=about)
+    for flag, spec in options:
+        sub.add_argument(flag, **spec)
+    sub.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,65 +471,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact classification of toric rings of integral cyclic polytopes",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sc = subs.add_parser("classify", help="classify one instance")
-    _add_instance_args(sc)
-    sc.add_argument("--ring", choices=("kp", "kq", "both"), default="both")
-    sc.add_argument("--oracle", action="store_true", help="run the exact cross-check routes")
-    sc.add_argument("--max-degree", type=_max_degree, default=None)
-    _add_budget_arg(sc)
-    sc.add_argument("--json", action="store_true")
-    sc.set_defaults(func=cmd_classify)
-
-    ss = subs.add_parser("scan", help="scan a parameter family, one JSON record per line")
-    ss.add_argument("--d", required=True, help="dimension range, e.g. 2..4")
-    ss.add_argument("--n", required=True, help="vertex-count range, e.g. 3..6 or d+1..d+2")
-    ss.add_argument("--max-gap", type=int, required=True)
-    ss.add_argument("--ring", choices=("kp", "kq", "both"), default="both")
-    ss.add_argument("--oracle", action="store_true")
-    ss.add_argument("--max-degree", type=_max_degree, default=None)
-    _add_budget_arg(ss)
-    ss.add_argument("--threads", type=int, default=None)
-    ss.add_argument("--out", default=None, help="JSONL output path (default stdout)")
-    ss.add_argument("--findings", default=None, help="findings JSONL output path")
-    ss.add_argument("--csv", default=None, help="CSV summary output path")
-    ss.set_defaults(func=cmd_scan)
-
-    sw = subs.add_parser("witness", help="print constructed witness points with evidence")
-    wsubs = sw.add_subparsers(dest="witness_kind", required=True)
-    wr = wsubs.add_parser("r1", help="value-1 cone point for a facet")
-    _add_instance_args(wr)
-    wr.add_argument("--facet", required=True, help="comma-separated facet indices")
-    wr.add_argument("--apex", type=int, default=None)
-    wr.set_defaults(func=cmd_witness_r1)
-    wg = wsubs.add_parser("gorenstein", help="interior point pair for non-Gorenstein cases")
-    _add_instance_args(wg)
-    _add_budget_arg(wg)
-    wg.set_defaults(func=cmd_witness_gorenstein)
-
-    for name, show, extra in (
-        ("facets", _show_facets, "normals"),
-        ("bvec", _show_bvec, "set"),
-        ("kernel", _show_kernel, None),
-        ("hstar", _show_hstar, "budget"),
-        ("points", _show_points, "points"),
-    ):
-        sp = subs.add_parser(name, help=f"print {name} data")
-        _add_instance_args(sp)
-        if extra == "normals":
-            sp.add_argument("--normals", action="store_true")
-        elif extra == "set":
-            sp.add_argument("--set", required=True, help="comma-separated index set")
-        elif extra == "budget":
-            _add_budget_arg(sp)
-        elif extra == "points":
-            sp.add_argument("--k", type=int, required=True)
-            sp.add_argument("--interior", action="store_true")
-            sp.add_argument("--frame", choices=("moment", "transformed"), default="transformed")
-            _add_budget_arg(sp)
-        sp.add_argument("--json", action="store_true")
-        sp.set_defaults(func=cmd_print, show=show)
-
+    _command(subs, "classify", "classify one instance", (
+        *INSTANCE, RING, ("--oracle", {**FLAG, "help": "run the exact cross-check routes"}),
+        MAX_DEGREE, BUDGET, JSON,
+    ), func=cmd_classify)
+    _command(subs, "scan", "scan a parameter family, one JSON record per line", (
+        ("--d", {"required": True, "help": "dimension range, e.g. 2..4"}),
+        ("--n", {"required": True, "help": "vertex-count range, e.g. 3..6 or d+1..d+2"}),
+        ("--max-gap", {"type": int, "required": True}),
+        RING, ("--oracle", FLAG), MAX_DEGREE, BUDGET,
+        ("--threads", {"type": int}),
+        ("--out", {"help": "JSONL output path (default stdout)"}),
+        ("--findings", {"help": "findings JSONL output path"}),
+        ("--csv", {"help": "CSV summary output path"}),
+    ), func=cmd_scan)
+    witness = subs.add_parser("witness", help="print constructed witness points with evidence")
+    wsubs = witness.add_subparsers(dest="witness_kind", required=True)
+    _command(wsubs, "r1", "value-1 cone point for a facet", (
+        *INSTANCE, ("--facet", {"required": True, "help": "comma-separated facet indices"}),
+        ("--apex", {"type": int}),
+    ), func=cmd_witness_r1)
+    _command(wsubs, "gorenstein", "interior point pair for non-Gorenstein cases",
+             (*INSTANCE, BUDGET), func=cmd_witness_gorenstein)
+    for name, show, options in PRINTERS:
+        _command(subs, name, f"print {name} data", (*INSTANCE, *options, JSON),
+                 func=cmd_print, show=show)
     return parser
 
 

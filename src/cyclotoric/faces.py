@@ -21,23 +21,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import CycloParams, InvalidParameters, root_polynomial
+from .core import CycloParams, root_polynomial
 
 
 class NotAFacet(ValueError):
     """Raised when an operation needs a facet index set but got something else."""
-
-
-def is_face(w, p: CycloParams) -> bool:
-    """Whether W spans a proper face of the boundary complex (empty set included).
-
-    A cyclic polytope is simplicial, so its proper faces are exactly the
-    subsets of its facets.
-    """
-    w = set(w)
-    if w and (min(w) < 1 or max(w) > p.n):
-        raise InvalidParameters(f"subset elements must lie in 1..{p.n}")
-    return any(w.issubset(f) for f in facets(p))
 
 
 @lru_cache(maxsize=4096)

@@ -110,6 +110,27 @@ def is_normal_kp(
     return witness is None, witness
 
 
+def r1_certificate(w, p: CycloParams, apexes=None) -> tuple[int, list[tuple]]:
+    """Codimension-one regularity evidence for one facet: (index, rows).
+
+    The index is that of the facet's chain basis in the facet plane's
+    integer lattice.  Each row is (apex, value-1 point, its support value,
+    its cone coefficients over the facet and the apex), for every apex off
+    the facet by default.  The facet passes when the index is 1 and every
+    row has value 1 and no negative coefficient.  A set that is not a
+    facet raises NotAFacet before any apex is checked.
+    """
+    sf = support_form(w, p)
+    if apexes is None:
+        apexes = [k for k in range(1, p.n + 1) if k not in w]
+    index = facet_lattice_index(w, p)
+    rows = []
+    for k in apexes:
+        x = r1_witness(w, k, p)  # raises on an apex on the facet or outside 1..n
+        rows.append((k, x, dot(sf, x), cone_coefficients(x, sorted(w + (k,)), p)))
+    return index, rows
+
+
 def r1_issues(p: CycloParams) -> list[str]:
     """Codimension-one regularity certificates for every facet; empty means all pass.
 
@@ -119,18 +140,12 @@ def r1_issues(p: CycloParams) -> list[str]:
     """
     issues = []
     for w in facets(p):
-        idx = facet_lattice_index(w, p)
+        idx, rows = r1_certificate(w, p)
         if idx != 1:
             issues.append(f"facet {w}: lattice slice index {idx} != 1")
-        sf = support_form(w, p)
-        for k in range(1, p.n + 1):
-            if k in w:
-                continue
-            x = r1_witness(w, k, p)
-            val = dot(sf, x)
+        for k, _, val, coeffs in rows:
             if val != 1:
                 issues.append(f"facet {w} apex {k}: support value {val} != 1")
-            coeffs = cone_coefficients(x, sorted(w + (k,)), p)
             if any(c < 0 for c in coeffs):
                 issues.append(f"facet {w} apex {k}: point leaves the cone")
     return issues

@@ -205,50 +205,30 @@ def classify_kq(
     """
     ci = p.n == p.d + 2
     kb = kernel_binomial(p) if ci else None
-    kern = kb.c if kb else None
+    case = "general"
     if p.n == p.d + 1:
-        return RingReportKQ("simplex_regular", "yes", ci, {"kind": "regularity"}, kern)
-    if p.d == 1:
+        case, normal, evidence = "simplex_regular", "yes", {"kind": "regularity"}
+    elif p.d == 1:
         equal = len(set(p.gaps)) == 1
-        return RingReportKQ(
-            "curve_d1",
-            "yes" if equal else "no",
-            ci,
-            {"kind": "equal_spacing", "equal": equal},
-            kern,
-        )
-    if ci:
-        return RingReportKQ(
-            "principal_d2",
-            "no",
-            True,
-            {
-                "kind": "kernel_binomial",
-                "u_squarefree": kb.u_squarefree,
-                "v_squarefree": kb.v_squarefree,
-            },
-            kb.c,
-        )
-    s = divisibility_test(p)
-    if s is not None:
-        return RingReportKQ(
-            "general", "no", False, {"kind": "divisibility_witness", "s": s}, None
-        )
-    if use_bruteforce:
+        case, normal = "curve_d1", "yes" if equal else "no"
+        evidence = {"kind": "equal_spacing", "equal": equal}
+    elif ci:
+        case, normal = "principal_d2", "no"
+        evidence = {
+            "kind": "kernel_binomial",
+            "u_squarefree": kb.u_squarefree,
+            "v_squarefree": kb.v_squarefree,
+        }
+    elif (s := divisibility_test(p)) is not None:
+        normal, evidence = "no", {"kind": "divisibility_witness", "s": s}
+    elif not use_bruteforce:
+        normal, evidence = "unknown", {"kind": "none"}
+    else:
         verdict, witness = is_normal_kq_bruteforce(p, max_degree, budget=budget)
         if verdict == "not_normal":
-            return RingReportKQ(
-                "general",
-                "no",
-                False,
-                {"kind": "bruteforce_witness", "witness": list(witness)},
-                None,
-            )
-        if verdict == "normal" and (max_degree is None or max_degree >= normality_bound(p.d)):
-            return RingReportKQ(
-                "general", "yes", False, {"kind": "bruteforce_exhaustive"}, None
-            )
-        return RingReportKQ(
-            "general", "unknown", False, {"kind": "none", "bruteforce": verdict}, None
-        )
-    return RingReportKQ("general", "unknown", False, {"kind": "none"}, None)
+            normal, evidence = "no", {"kind": "bruteforce_witness", "witness": list(witness)}
+        elif verdict == "normal" and (max_degree is None or max_degree >= normality_bound(p.d)):
+            normal, evidence = "yes", {"kind": "bruteforce_exhaustive"}
+        else:
+            normal, evidence = "unknown", {"kind": "none", "bruteforce": verdict}
+    return RingReportKQ(case, normal, ci, evidence, kb.c if kb else None)

@@ -26,7 +26,6 @@ from math import comb, gcd
 
 from cyclotoric.core import CycloParams, DeltaTable, InvalidParameters, vertex
 from cyclotoric.divdiff import _check_index_set, bvec
-from cyclotoric.faces import is_face
 from cyclotoric.intlinalg import dot, primitive, vec_sub
 from cyclotoric.kp import r1_issues
 from cyclotoric.kq import generator_lattice
@@ -74,14 +73,6 @@ def bareiss_det(rows) -> int:
                 a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
         prev = a[c][c]
     return sign * a[n - 1][n - 1] if n else 1
-
-
-def brute_is_face(w, p: CycloParams) -> bool:
-    """Proper faces of a simplicial polytope are exactly the subsets of facets."""
-    w = tuple(sorted(set(w)))
-    if not w:
-        return True
-    return any(set(w) <= set(f) for f in brute_facets(p))
 
 
 def polygon_pick_data(p: CycloParams) -> tuple[int, int, int]:
@@ -249,11 +240,16 @@ def nonface_partitions(p: CycloParams) -> list[tuple[tuple[int, ...], tuple[int,
         raise InvalidParameters("partition scan expects n = d+2")
     n = p.n
     rest = list(range(2, n + 1))
+    facet_sets = [set(f) for f in brute_facets(p)]  # faces are subsets of facets
+
+    def is_face(w) -> bool:
+        return any(set(w) <= f for f in facet_sets)
+
     out = []
     for mask in range(1 << (n - 1)):
         f = (1,) + tuple(x for b, x in enumerate(rest) if mask >> b & 1)
         g = tuple(x for b, x in enumerate(rest) if not mask >> b & 1)
-        if not is_face(f, p) and not is_face(g, p):
+        if not is_face(f) and not is_face(g):
             out.append((f, g))
     out.sort()
     return out
