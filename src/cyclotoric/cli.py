@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
 import sys
 from collections.abc import Iterable
 from contextlib import ExitStack
-from itertools import product
+from itertools import accumulate, product
 
 from .core import CycloParams, InvalidParameters, build_params, canonical_form
 from .divdiff import bvec
@@ -88,112 +89,67 @@ def _params(args) -> CycloParams:
     return build_params(args.d, _int_list(args.tau, "tau"))
 
 
+def _options(args) -> tuple:
+    """What `_classify_instance` takes after the instance: rings, oracle, max degree, budget."""
+    rings = {"kp", "kq"} if args.ring == "both" else {args.ring}
+    return rings, args.oracle, args.max_degree, args.budget
+
+
+def _record(p: CycloParams, status: str, **fields) -> dict:
+    return {"schema": SCHEMA_VERSION, "d": p.d, "n": p.n, "tau": list(p.tau),
+            "gaps": list(p.gaps), "status": status, **fields}
+
+
 def _classify_instance(
-    p: CycloParams,
-    rings: set[str],
-    oracle: bool,
-    max_degree: int | None,
-    budget: int | None,
-    catch_budget: bool = True,
+    p: CycloParams, rings: set[str], oracle: bool, max_degree: int | None, budget: int | None
 ) -> dict:
-    record = {
-        "schema": SCHEMA_VERSION,
-        "d": p.d,
-        "n": p.n,
-        "tau": list(p.tau),
-        "gaps": list(p.gaps),
-        "status": "ok",
-    }
-    try:
-        kp = (
-            classify_kp(p, oracle=oracle, max_degree=max_degree, budget=budget)
-            if "kp" in rings
-            else None
-        )
-        kq = (
-            classify_kq(p, use_bruteforce=oracle, max_degree=max_degree, budget=budget)
-            if "kq" in rings
-            else None
-        )
-    except BudgetExceeded:
-        if not catch_budget:
-            raise
-        record.update(
-            {
-                "status": "skipped",
-                "reason": "enumeration budget exhausted",
-                "kp": None,
-                "kq": None,
-                "findings": [],
-            }
-        )
-        return record
-    record["kp"] = kp.to_dict() if kp is not None else None
-    record["kq"] = kq.to_dict() if kq is not None else None
-    record["findings"] = derive_findings(p, kp, kq)
-    return record
+    kp = (classify_kp(p, oracle=oracle, max_degree=max_degree, budget=budget)
+          if "kp" in rings else None)
+    kq = (classify_kq(p, use_bruteforce=oracle, max_degree=max_degree, budget=budget)
+          if "kq" in rings else None)
+    return _record(p, "ok", kp=kp and kp.to_dict(), kq=kq and kq.to_dict(),
+                   findings=derive_findings(p, kp, kq))
 
 
 def _scan_worker(task) -> dict:
-    d, tau, rings, oracle, max_degree, budget = task
-    return _classify_instance(CycloParams(d, tau), set(rings), oracle, max_degree, budget)
+    p, options = task
+    try:
+        return _classify_instance(p, *options)
+    except BudgetExceeded:  # a scan records the instance and goes on
+        return _record(p, "skipped", reason="enumeration budget exhausted",
+                       kp=None, kq=None, findings=[])
 
 
-def _rings(arg: str) -> set[str]:
-    return {"kp", "kq"} if arg == "both" else {arg}
-
-
-def _print_kp(report: dict) -> None:
-    print(
-        "K[P]: normal={normal} cohen_macaulay={cohen_macaulay} s2={s2} "
-        "r1={r1} seminormal={seminormal}".format(**report)
-    )
-    oracle = report["gorenstein_oracle"]
-    oracle_text = (
-        "none"
-        if oracle is None
-        else f"{oracle['status']} generator={oracle['generator']} "
-        f"h_star_palindromic={oracle['h_star_palindromic']}"
-    )
-    print(
-        f"      gorenstein_theorem={report['gorenstein_theorem']} oracle={oracle_text}"
-    )
-    print(
-        f"      h_star={report['h_star']} interior_k1={report['interior_k1']} "
-        f"nonnormal_witness={report['nonnormal_witness']}"
-    )
-    if report["discrepancy"]:
-        print(f"      discrepancy: {report['discrepancy']}")
-
-
-def _print_kq(report: dict) -> None:
-    print(
-        "K[Q]: case={case} normal={normal} complete_intersection="
-        "{complete_intersection} evidence={evidence}".format(**report)
-    )
-    if report["kernel"] is not None:
-        print(f"      kernel={report['kernel']}")
+# classify's text after the instance line: (ring, template filled from that ring's
+# report, the key whose value must be set for the line to show, or None)
+CLASSIFY_TEXT = (
+    ("kp", "K[P]: normal={normal} cohen_macaulay={cohen_macaulay} s2={s2} r1={r1} "
+           "seminormal={seminormal}", None),
+    ("kp", "      gorenstein_theorem={gorenstein_theorem} oracle={oracle}", None),
+    ("kp", "      h_star={h_star} interior_k1={interior_k1} "
+           "nonnormal_witness={nonnormal_witness}", None),
+    ("kp", "      discrepancy: {discrepancy}", "discrepancy"),
+    ("kq", "K[Q]: case={case} normal={normal} complete_intersection={complete_intersection} "
+           "evidence={evidence}", None),
+    ("kq", "      kernel={kernel}", "kernel"),
+)
+ORACLE_TEXT = "{status} generator={generator} h_star_palindromic={h_star_palindromic}"
 
 
 def cmd_classify(args) -> int:
     p = _params(args)
-    record = _classify_instance(
-        p, _rings(args.ring), args.oracle, args.max_degree, args.budget,
-        catch_budget=False,
-    )
+    record = _classify_instance(p, *_options(args))
     if args.json:
         print(json.dumps(record))
         return 0
-    print(f"d={p.d} n={p.n} tau={','.join(map(str, p.tau))} gaps={','.join(map(str, p.gaps))}")
     if record["kp"] is not None:
-        _print_kp(record["kp"])
-    if record["kq"] is not None:
-        _print_kq(record["kq"])
-    if record["findings"]:
-        for f in record["findings"]:
-            print(f"finding[{f['kind']}]: {f['details']}")
-    else:
-        print("findings: none")
+        oracle = record["kp"]["gorenstein_oracle"]
+        record["kp"]["oracle"] = "none" if oracle is None else ORACLE_TEXT.format_map(oracle)
+    lines = [f"d={p.d} n={p.n} tau={','.join(map(str, p.tau))} gaps={','.join(map(str, p.gaps))}"]
+    lines += [text.format_map(record[ring]) for ring, text, shown_if in CLASSIFY_TEXT
+              if record[ring] is not None and (shown_if is None or record[ring][shown_if])]
+    findings = [f"finding[{f['kind']}]: {f['details']}" for f in record["findings"]]
+    print("\n".join(lines + (findings or ["findings: none"])))
     return 0
 
 
@@ -223,7 +179,7 @@ def _scan_instances(args) -> list[tuple]:
     if args.max_gap < 1:
         raise InvalidParameters("max-gap must be at least 1")
     tasks = []
-    rings = tuple(sorted(_rings(args.ring)))
+    options = _options(args)
     for d in range(d_lo, d_hi + 1):
         n_lo = max(_range_token(n_lo_tok, d), d + 1)
         n_hi = _range_token(n_hi_tok, d)
@@ -231,13 +187,49 @@ def _scan_instances(args) -> list[tuple]:
             for gaps in product(range(1, args.max_gap + 1), repeat=n - 1):
                 if tuple(reversed(gaps)) < gaps:
                     continue  # canonical deduplication
-                tau = [0]
-                for g in gaps:
-                    tau.append(tau[-1] + g)
-                tasks.append((d, tuple(tau), rings, args.oracle, args.max_degree, args.budget))
+                tasks.append((CycloParams(d, tuple(accumulate(gaps, initial=0))), options))
     if not tasks:
         raise InvalidParameters("scan ranges describe an empty family")
     return tasks
+
+
+def _at(*path):
+    """A getter for record[path[0]][path[1]]...: None, an empty cell, past an absent ring."""
+    def get(record):
+        for key in path:
+            record = None if record is None else record[key]
+        return record
+    return get
+
+
+# the CSV columns, in order, and what each reads from a record
+COLUMNS = {
+    "d": _at("d"),
+    "n": _at("n"),
+    "gaps": lambda r: ",".join(map(str, r["gaps"])),
+    "normal": _at("kp", "normal"),
+    "cm": _at("kp", "cohen_macaulay"),
+    "gorenstein_theorem": _at("kp", "gorenstein_theorem"),
+    "gorenstein_oracle": _at("kp", "gorenstein_oracle", "status"),
+    "kq_case": _at("kq", "case"),
+    "kq_normal": _at("kq", "normal"),
+    "findings_count": lambda r: len(r["findings"]),
+}
+# the scan summary's ring counts: (summary key, column, value counted)
+COUNTS = (
+    ("kp_normal", "normal", True),
+    ("kp_gorenstein_theorem", "gorenstein_theorem", True),
+    ("kp_gorenstein_oracle", "gorenstein_oracle", "gorenstein"),
+    ("kq_normal_yes", "kq_normal", "yes"),
+    ("kq_normal_no", "kq_normal", "no"),
+    ("kq_normal_unknown", "kq_normal", "unknown"),
+)
+
+
+def _write_csv(fh, records: list[dict]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(COLUMNS)
+    writer.writerows([get(r) for get in COLUMNS.values()] for r in records)
 
 
 def cmd_scan(args) -> int:
@@ -265,74 +257,19 @@ def cmd_scan(args) -> int:
             records = [_scan_worker(t) for t in tasks]
 
         (out or sys.stdout).write("".join(json.dumps(r) + "\n" for r in records))
-        all_findings = [f for r in records for f in r.get("findings", [])]
+        all_findings = [f for r in records for f in r["findings"]]
         if findings:
             findings.write("".join(json.dumps(f) + "\n" for f in all_findings))
         if csv_out:
             _write_csv(csv_out, records)
 
-    summary = {
-        "instances": len(records),
-        "ok": sum(r["status"] == "ok" for r in records),
-        "skipped": sum(r["status"] == "skipped" for r in records),
-        "kp_normal": sum(bool(r["kp"] and r["kp"]["normal"]) for r in records),
-        "kp_gorenstein_theorem": sum(
-            bool(r["kp"] and r["kp"]["gorenstein_theorem"]) for r in records
-        ),
-        "kp_gorenstein_oracle": sum(
-            bool(
-                r["kp"]
-                and r["kp"]["gorenstein_oracle"]
-                and r["kp"]["gorenstein_oracle"]["status"] == "gorenstein"
-            )
-            for r in records
-        ),
-        "kq_normal_yes": sum(bool(r["kq"] and r["kq"]["normal"] == "yes") for r in records),
-        "kq_normal_no": sum(bool(r["kq"] and r["kq"]["normal"] == "no") for r in records),
-        "kq_normal_unknown": sum(
-            bool(r["kq"] and r["kq"]["normal"] == "unknown") for r in records
-        ),
-        "findings": len(all_findings),
-    }
+    summary = {"instances": len(records)}
+    summary |= {status: sum(r["status"] == status for r in records) for status in ("ok", "skipped")}
+    summary |= {key: sum(COLUMNS[column](r) == value for r in records)
+                for key, column, value in COUNTS}
+    summary["findings"] = len(all_findings)
     print("scan summary: " + json.dumps(summary), file=sys.stderr)
     return 0
-
-
-CSV_COLUMNS = (
-    "d",
-    "n",
-    "gaps",
-    "normal",
-    "cm",
-    "gorenstein_theorem",
-    "gorenstein_oracle",
-    "kq_case",
-    "kq_normal",
-    "findings_count",
-)
-
-
-def _write_csv(fh, records: list[dict]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        kp = r.get("kp") or {}
-        kq = r.get("kq") or {}
-        oracle = kp.get("gorenstein_oracle") or {}
-        writer.writerow(
-            [
-                r["d"],
-                r["n"],
-                ",".join(map(str, r["gaps"])),
-                kp.get("normal", ""),
-                kp.get("cohen_macaulay", ""),
-                kp.get("gorenstein_theorem", ""),
-                oracle.get("status", ""),
-                kq.get("case", ""),
-                kq.get("normal", ""),
-                len(r.get("findings", [])),
-            ]
-        )
 
 
 def cmd_witness_r1(args) -> int:
@@ -465,6 +402,7 @@ def _command(subs, name: str, about: str, options, **defaults) -> None:
     sub.set_defaults(**defaults)
 
 
+@functools.cache  # one tree per process, however often `main` runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclotoric",

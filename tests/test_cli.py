@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: output shapes, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -91,6 +92,49 @@ def test_classify_human_readable():
     assert res.returncode == 0
     assert "K[P]:" in res.stdout and "K[Q]:" in res.stdout
     assert "findings: none" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (["--d", "2", "--tau", "0,1,2", "--oracle"], [
+            "d=2 n=3 tau=0,1,2 gaps=1,1",
+            "K[P]: normal=True cohen_macaulay=True s2=True r1=True seminormal=True",
+            "      gorenstein_theorem=False oracle=gorenstein generator=[2, 2, 3] "
+            "h_star_palindromic=True",
+            "      h_star=[1, 1, 0] interior_k1=0 nonnormal_witness=None",
+            "      discrepancy: theorem_oracle_discrepancy: closed-form predicate says False "
+            "but exact route says gorenstein",
+            "K[Q]: case=simplex_regular normal=yes complete_intersection=False "
+            "evidence={'kind': 'regularity'}",
+            "finding[theorem_oracle_discrepancy]: theorem_oracle_discrepancy: closed-form "
+            "predicate says False but exact route says gorenstein",
+        ]),
+        (["--d", "2", "--tau", "0,1,2,3", "--oracle"], [
+            "d=2 n=4 tau=0,1,2,3 gaps=1,1,1",
+            "K[P]: normal=True cohen_macaulay=True s2=True r1=True seminormal=True",
+            "      gorenstein_theorem=False oracle=not_gorenstein generator=None "
+            "h_star_palindromic=False",
+            "      h_star=[1, 5, 2] interior_k1=2 nonnormal_witness=None",
+            "K[Q]: case=principal_d2 normal=no complete_intersection=True "
+            "evidence={'kind': 'kernel_binomial', 'u_squarefree': False, 'v_squarefree': False}",
+            "      kernel=[1, -3, 3, -1]",
+            "finding[conjecture48_ci_instance]: complete intersection (hence Cohen-Macaulay) "
+            "with a non-normal vertex semigroup",
+        ]),
+        (["--d", "2", "--tau", "0,1,3", "--ring", "kp", "--max-degree", "0"], [
+            "d=2 n=3 tau=0,1,3 gaps=1,2",
+            "K[P]: normal=None cohen_macaulay=None s2=None r1=True seminormal=None",
+            "      gorenstein_theorem=True oracle=none",
+            "      h_star=[1, 4, 1] interior_k1=1 nonnormal_witness=None",
+            "findings: none",
+        ]),
+    ],
+)
+def test_classify_text_lines(argv, lines):
+    # every optional line once: a discrepancy and its finding, a kernel, no
+    # oracle, unproven flags and no findings
+    assert _main_output(["classify", *argv]) == (0, "\n".join(lines) + "\n")
 
 
 def test_bare_assertion_case_exits_zero_with_findings():
@@ -221,6 +265,62 @@ class TestScan:
         for r in records:
             if r["status"] == "skipped":
                 assert "budget" in r["reason"]
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ("--d", "2..2", "--n", "3..4", "--max-gap", "2", "--ring", "both", "--oracle"),
+            # the kp cells stay empty, and divisibility leaves some K[Q] unknown
+            ("--d", "2..3", "--n", "d+1..d+3", "--max-gap", "2", "--ring", "kq"),
+            # 4 of these 60 instances pass the budget, and their ring cells stay empty
+            ("--d", "1..2", "--n", "d+1..d+4", "--max-gap", "2", "--ring", "both", "--oracle",
+             "--budget", "10"),
+        ],
+    )
+    def test_csv_rows_and_summary_follow_the_records(self, tmp_path, family):
+        out, table = tmp_path / "out.jsonl", tmp_path / "summary.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["scan", *family, "--threads", "1", "--out", str(out), "--csv", str(table)])
+        assert code == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        statuses = [r["status"] for r in records]
+        assert set(statuses) == ({"ok", "skipped"} if "--budget" in family else {"ok"})
+        assert any(r["kp"] for r in records) == ("kq" not in family)
+
+        def cell(value):
+            return "" if value is None else str(value)
+
+        rows = [["d", "n", "gaps", "normal", "cm", "gorenstein_theorem", "gorenstein_oracle",
+                 "kq_case", "kq_normal", "findings_count"]]
+        for r in records:
+            kp, kq = r["kp"] or {}, r["kq"] or {}
+            rows.append([
+                str(r["d"]), str(r["n"]), ",".join(map(str, r["gaps"])),
+                *(cell(kp.get(key)) for key in ("normal", "cohen_macaulay", "gorenstein_theorem")),
+                cell((kp.get("gorenstein_oracle") or {}).get("status")),
+                cell(kq.get("case")), cell(kq.get("normal")), str(len(r["findings"])),
+            ])
+        with table.open(newline="") as fh:
+            assert list(csv.reader(fh)) == rows
+
+        kps = [r["kp"] for r in records if r["kp"]]
+        kq_normal = [r["kq"]["normal"] for r in records if r["kq"]]
+        summary = {
+            "instances": len(records),
+            "ok": statuses.count("ok"),
+            "skipped": statuses.count("skipped"),
+            "kp_normal": sum(kp["normal"] is True for kp in kps),
+            "kp_gorenstein_theorem": sum(kp["gorenstein_theorem"] is True for kp in kps),
+            "kp_gorenstein_oracle": sum(
+                (kp["gorenstein_oracle"] or {}).get("status") == "gorenstein" for kp in kps
+            ),
+            "kq_normal_yes": kq_normal.count("yes"),
+            "kq_normal_no": kq_normal.count("no"),
+            "kq_normal_unknown": kq_normal.count("unknown"),
+            "findings": sum(len(r["findings"]) for r in records),
+        }
+        assert err.getvalue() == f"scan summary: {json.dumps(summary)}\n"
 
 
 class TestWitnessCommands:
