@@ -13,8 +13,7 @@ sign on all the other vertices.
 
 A facet's half-space is that primitive integer normal alone, in moment
 coordinates: the slack of a cone point x is dot(normal, x), which is 0
-on the facet and positive inside.  `lattice.ScanFrame` is the one place
-that rewrites the normals in another coordinate frame.
+on the facet and positive inside.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CycloParams, DeltaTable, InvalidParameters, reverse_negate
+from .core import (
+    CycloParams, DeltaTable, InvalidParameters, inverse_transform_factor, reverse_negate,
+)
 from .divdiff import (
     cone_coefficients,
     facet_lattice_index,
@@ -26,8 +28,8 @@ from .divdiff import (
     support_form,
 )
 from .faces import facet_normals, facets
-from .intlinalg import dot, solve_exact, vec_sub
-from .lattice import TRANSFORMED, HStarVector, Instance, ScanFrame, h_star, instance
+from .intlinalg import dot, mat_vec, solve_exact, vec_sub
+from .lattice import HStarVector, Instance, h_star, instance
 
 
 def normality_bound(d: int) -> int:
@@ -239,10 +241,12 @@ def _oracle_needed(p: CycloParams, subset) -> WitnessReport:
 
 
 def _verified_report(pp: CycloParams, pts, subset, rev: bool) -> WitnessReport:
-    # the points are transformed-frame; facets run lex, so reversed, slack i
-    # is on the facet omitting vertex i.  A bare frame leaves the context alone.
-    normals = ScanFrame(pp, TRANSFORMED).normals[::-1]
-    slacks = tuple(tuple(dot(a, pt) for a in normals) for pt in pts)
+    # the points are transformed-frame, and the inverse factor maps them to
+    # moment coordinates; facets run lex, so reversed, slack i is on the facet
+    # omitting vertex i.
+    inverse = inverse_transform_factor(pp)
+    moment = [mat_vec(inverse, pt) for pt in pts]
+    slacks = tuple(tuple(dot(a, z) for a in facet_normals(pp)[::-1]) for z in moment)
     ok = all(s > 0 for row in slacks for s in row)
     return WitnessReport(tuple(pts), tuple(subset), pp, rev, False, slacks, ok)
 

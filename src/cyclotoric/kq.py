@@ -18,7 +18,7 @@ from math import prod
 from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix
 from .intlinalg import lattice_contains, mat_vec, primitive
 from .kp import first_gap, normality_bound
-from .lattice import MOMENT, BudgetExceeded, instance
+from .lattice import BudgetExceeded, instance
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class GeneratorLattice:
 
 
 def generator_lattice(p: CycloParams) -> GeneratorLattice:
-    basis = instance(p).frame(MOMENT).lattice_rows
+    basis = instance(p).lattice_rows
     return GeneratorLattice(basis, prod(row[i] for i, row in enumerate(basis)))
 
 

@@ -1,25 +1,20 @@
 """Exact lattice-point enumeration in dilations of the homogenised polytope.
 
-Enumeration runs by default in the triangularised coordinates, where
-vertex entries are running gap products instead of raw powers.  The map
-back to moment coordinates is unit lower-triangular, so the scan emits
-each moment coordinate as it fixes the scan coordinate, shifted by an
-offset that only the prefix sets; a moment-frame path exists for
-cross-checking.  The first t moment coordinates of C_d(tau) span its
-shadow C_t(tau), the cyclic polytope on the same parameters, so the
-facets of C_t(tau) give coordinate t its exact real range once the
-prefix is fixed: the recursion visits no prefix outside the shadow, and
-the facets of C_d(tau) make every value of the last range a point.  A
-slice can be restricted to the lattice the vertices span: each
-coordinate then steps through its residue class modulo the Hermite
-pivot, so no point outside that lattice is visited.
+Enumeration runs in moment coordinates.  The first t moment coordinates
+of C_d(tau) span its shadow C_t(tau), the cyclic polytope on the same
+parameters, so the facets of C_t(tau) give coordinate t its exact real
+range once the prefix is fixed: the recursion visits no prefix outside
+the shadow, and the facets of C_d(tau) make every value of the last
+range a point.  A slice can be restricted to the lattice the vertices
+span: each coordinate then steps through its residue class modulo the
+Hermite pivot, so no point outside that lattice is visited.
 
 The last coordinate is fixed as one range per prefix, so a slice is a
 run of fibers: the points that share all but the last coordinate, which
 step along it by the last Hermite pivot (1 for the full lattice).  Each
-slice is a `Slice` that holds only those fibers, as (head, first, last)
-in moment coordinates: the normality scan reads the fibers, the counts
-read its length, and only iterating a slice builds its points.
+slice is a `Slice` that holds only those fibers, as (head, first, last):
+the normality scan reads the fibers, the counts read its length, and
+only iterating a slice builds its points.
 
 A budget caps the nodes a scan visits, counted while it runs: a scan
 that would grind fails with BudgetExceeded instead, naming the degree,
@@ -27,20 +22,14 @@ the cap and the bounding-box volume.  The default is 10**6 nodes and can
 be overridden per call or through the CYCLOTORIC_BUDGET environment
 variable.
 
-A frame is "moment" (raw vertex coordinates) or "transformed" (the
-triangularised ones), and this module alone selects one.  Facet normals
-are plain primitive integer tuples from `faces`, in moment coordinates;
-`ScanFrame.shadows` is the one place that rewrites them in the
-transformed frame, through the same matrix that maps scan points back.
-
-Every stage reads one `Instance` context: each frame's scan data (vertex
-columns, the facet normals of the polytope and of its shadows, the
-Hermite rows of the vertex lattice) and a memo of slices.  A slice is
-streamed fiber by fiber, so a reader that stops early, at a gap, stops
-the scan too; the memo keeps a slice, with the nodes its scan visited,
-only once a reader has reached its end.  `instance` keeps the latest
-context, keyed on the parameters alone.  The budget comes with each
-slice request, and a memo hit is read only within it.
+Every stage reads one `Instance` context: the scan data (vertex columns,
+the facet normals of the polytope and of its shadows, the Hermite rows
+of the vertex lattice) and a memo of slices.  A slice is streamed fiber
+by fiber, so a reader that stops early, at a gap, stops the scan too;
+the memo keeps a slice, with the nodes its scan visited, only once a
+reader has reached its end.  `instance` keeps the latest context, keyed
+on the parameters alone.  The budget comes with each slice request, and
+a memo hit is read only within it.
 """
 
 from __future__ import annotations
@@ -51,12 +40,11 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, prod
 
-from .core import CycloParams, InvalidParameters, inverse_transform_factor, transform, vertex
+from .core import CycloParams, InvalidParameters, vertex
 from .faces import facet_normals, facets
-from .intlinalg import hnf, mat_mul
+from .intlinalg import hnf
 
 MOMENT = "moment"
-TRANSFORMED = "transformed"
 DEFAULT_BUDGET = 10**6
 BUDGET_ENV_VAR = "CYCLOTORIC_BUDGET"
 
@@ -89,8 +77,7 @@ class Slice:
     `fibers` holds one (head, first, last) per run of points that share
     the head, all coordinates but the last, in lex order of the heads:
     the run is head + (x,) for x = first, first + step, ..., last.
-    `nodes` is the number of scan nodes that built it, which equal slices
-    from two frames need not share.
+    `nodes` is the number of scan nodes that built it.
     """
 
     fibers: tuple[tuple[tuple[int, ...], int, int], ...]
@@ -105,44 +92,46 @@ class Slice:
             yield from (head + (x,) for x in range(first, last + 1, self.step))
 
 
-@dataclass(frozen=True)
-class ScanFrame:
-    """The scan data of one coordinate frame, each part built on first use.
+def _refusal(vertices, k: int, cap: int) -> BudgetExceeded:
+    """The error of a degree-k scan past `cap` nodes, with its bounding-box volume."""
+    volume = prod(
+        k * (max(c[t] for c in vertices) - min(c[t] for c in vertices)) + 1
+        for t in range(1, len(vertices[0]))
+    )
+    return BudgetExceeded(
+        f"degree {k} scan passes the budget of {cap} nodes (bounding box {volume} candidates)"
+    )
 
-    No frame holds its context, so a context the cache drops is freed at once.
+
+@dataclass(frozen=True)
+class Instance:
+    """The scan data of one instance, each part built on first use, and a slice memo.
+
+    Slices are kept in scan order, and each request brings its budget.
+    Nothing here refers back to the instance, not even a scan's recursion,
+    so one the cache drops is freed at once.
     """
 
     p: CycloParams
-    name: str  # MOMENT or TRANSFORMED
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
         """The vertex columns, in vertex order."""
-        if self.name == MOMENT:
-            return tuple(vertex(self.p, i) for i in range(1, self.p.n + 1))
-        tm = transform(self.p)
-        return tuple(tm.column(i) for i in range(1, self.p.n + 1))
+        return tuple(vertex(self.p, i) for i in range(1, self.p.n + 1))
 
     @cached_property
     def shadows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The primitive inward facet normals of C_t(tau), t = 1..d, in facet order.
 
-        The first t+1 moment coordinates of C_d(tau) span C_t(tau), the
-        cyclic polytope on the same parameters, so its facets bound the
-        first t+1 coordinates of every slice point exactly: shadows[t-1]
-        holds them, t+1 entries each, and shadows[d-1] holds the facets of
-        C_d(tau).  A scan point z has moment coordinates L.z for the rows L
-        of `to_moment`, so a moment normal a has slack a.(L.z) = (a.L).z:
-        the scan normals are a.L.  L is unit lower-triangular, so a.L keeps
-        a's length, its leading entry +-1 and its primitivity.
+        The first t+1 coordinates of C_d(tau) span C_t(tau), the cyclic
+        polytope on the same parameters, so its facets bound the first t+1
+        coordinates of every slice point exactly: shadows[t-1] holds them,
+        t+1 entries each, with leading entry +-1, and shadows[d-1] holds
+        the facets of C_d(tau).
         """
         d, tau = self.p.d, self.p.tau
-        levels = [facet_normals(CycloParams(t, tau)) for t in range(1, d + 1)]
-        if self.to_moment is None:
-            return tuple(levels)
-        padded = [a + (0,) * (d - t) for t, level in enumerate(levels, 1) for a in level]
-        rows = iter(mat_mul(padded, self.to_moment))
-        return tuple(tuple(next(rows)[: t + 1] for _ in level) for t, level in enumerate(levels, 1))
+        return tuple(facet_normals(CycloParams(t, tau)) for t in range(1, d + 1))
 
     @property
     def normals(self) -> tuple[tuple[int, ...], ...]:
@@ -150,30 +139,16 @@ class ScanFrame:
         return self.shadows[-1]
 
     @cached_property
-    def to_moment(self) -> tuple[tuple[int, ...], ...] | None:
-        """Rows of the unit lower-triangular map to moment coordinates (None: the identity)."""
-        if self.name == MOMENT:
-            return None
-        return inverse_transform_factor(self.p)
-
-    @cached_property
     def lattice_rows(self) -> tuple[tuple[int, ...], ...]:
         """Row-style Hermite form of the vertex columns: a basis of the vertex lattice."""
-        rows = hnf(self.columns)
+        rows = hnf(self.vertices)
         if len(rows) != self.p.d + 1:
             raise ArithmeticError("vertex lattice is not full rank")
         return tuple(rows)
 
-    def refusal(self, k: int, cap: int) -> BudgetExceeded:
-        """The error of a degree-k scan past `cap` nodes, with its bounding-box volume."""
-        volume = prod(
-            k * (max(c[t] for c in self.columns) - min(c[t] for c in self.columns)) + 1
-            for t in range(1, self.p.d + 1)
-        )
-        return BudgetExceeded(
-            f"degree {k} scan passes the budget of {cap} nodes "
-            f"(bounding box {volume} candidates)"
-        )
+    def step(self, vertex_lattice: bool = False) -> int:
+        """The step along the last coordinate within a fiber."""
+        return self.lattice_rows[-1][-1] if vertex_lattice else 1
 
     def stream(self, k: int, interior_only: bool, vertex_lattice: bool, cap: int):
         """Yield the fibers of the degree-k slice as the scan finds them; return the Slice.
@@ -191,8 +166,9 @@ class ScanFrame:
         closed slice, so those bounds hold for them too; level d is C_d(tau)
         itself, whose normals are the facets, and bounds with the interior
         offset, so every value of its range is a point and that level is
-        emitted whole.  Each normal's sum over the prefix is carried down the
-        recursion, one product per fixed coordinate.
+        emitted whole, as a fiber of its prefix, with no point built.  Each
+        normal's sum over the prefix is carried down the recursion, one
+        product per fixed coordinate.
 
         A prefix lies in the lattice exactly when each coordinate t is
         congruent, modulo the Hermite pivot, to the offset the earlier
@@ -201,20 +177,12 @@ class ScanFrame:
         Only the nonzero entries above a pivot carry an offset: with the
         identity basis the scan does no lattice arithmetic at all.
 
-        Each point is emitted as L.z for the unit lower-triangular rows L of
-        `to_moment`, or as z in the moment frame.  Emitted coordinate t is z_t
-        plus a shift sum_{j<t} L[t][j] z_j that only the prefix sets, so each
-        node computes it once and carries the emitted prefix beside the scan
-        prefix.  The last range, shifted, is a fiber of its emitted prefix,
-        and no point is built.
-
         A node is one call of the level function: the root, and one per value
-        tried at each level below d.  Node cap + 1 raises `refusal`.
+        tried at each level below d.  Node cap + 1 raises `_refusal`.
         """
         if k < 0:
             raise InvalidParameters("dilation degree must be nonnegative")
-        shadows, to_moment = self.shadows, self.to_moment
-        d = self.p.d
+        d, vertices = self.p.d, self.vertices  # rec holds these, never self: no cycle keeps it
         if vertex_lattice:
             basis = self.lattice_rows
         else:
@@ -225,20 +193,15 @@ class ScanFrame:
         # coordinate is stored only when a later column reads it
         above = [[(i, basis[i][t]) for i in range(t) if basis[i][t]] for t in range(d + 1)]
         stored = [any(basis[t][s] for s in range(t + 1, d + 1)) for t in range(d + 1)]
-        # the nonzero entries left of the unit diagonal of L, by row
-        lower = [
-            [(j, c) for j, c in enumerate(row[:t]) if c] for t, row in enumerate(to_moment or ())
-        ]
         # level t's normals split by the sign of their leading entry: lower, then upper bounds
         sides = [
-            [[b for b in level if b[-1] == sign] for sign in (1, -1)] for level in shadows
+            [[b for b in level if b[-1] == sign] for sign in (1, -1)] for level in self.shadows
         ]
         # coefs[t][u]: entry t of the normals of level t+1+u, the ones fixing z_t feeds
         coefs = [None] + [
             [[[b[t] for b in side] for side in level] for level in sides[t:]] for t in range(1, d)
         ]
         coords = [k] + [0] * d  # lattice coordinates of the prefix
-        prefix = [k] + [0] * d
         fibers = []
         nodes = 0
 
@@ -247,7 +210,7 @@ class ScanFrame:
             nonlocal nodes
             nodes += 1
             if nodes > cap:
-                raise self.refusal(k, cap)
+                raise _refusal(vertices, k, cap)
             low, high = sums[0]
             floor = eps if t == d else 0
             lo, hi = floor - min(low), min(high) - floor
@@ -257,50 +220,24 @@ class ScanFrame:
                 lo += (offset - lo) % step
             if lo > hi:
                 return
-            shift = sum(prefix[j] * c for j, c in lower[t]) if lower else 0
             if t == d:
-                fiber = (head, lo + shift, hi - (hi - lo) % step + shift)
+                fiber = (head, lo, hi - (hi - lo) % step)
                 fibers.append(fiber)
                 yield fiber
                 return
             later = list(zip(sums[1:], coefs[t]))
             for z in range(lo, hi + 1, step):
-                prefix[t] = z
                 if store:
                     coords[t] = (z - offset) // step
                 nxt = [
                     [[s + c * z for s, c in zip(ss, cs)] for ss, cs in zip(level, cols)]
                     for level, cols in later
                 ]
-                yield from rec(t + 1, nxt, head + (z + shift,))
+                yield from rec(t + 1, nxt, head + (z,))
 
         start = [[[b[0] * k for b in side] for side in level] for level in sides]
         yield from rec(1, start, (k,))
         return Slice(tuple(fibers), pivots[d], nodes)
-
-
-@dataclass(frozen=True)
-class Instance:
-    """Per-frame scan data and a slice memo in scan order; each request brings its budget."""
-
-    p: CycloParams
-    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return self.frame(MOMENT).columns
-
-    def frame(self, name: str) -> ScanFrame:
-        if name not in self._frames:
-            if name not in (MOMENT, TRANSFORMED):
-                raise ValueError(f"unknown frame {name!r}")
-            self._frames[name] = ScanFrame(self.p, name)
-        return self._frames[name]
-
-    def step(self, vertex_lattice: bool = False) -> int:
-        """The step along the last coordinate within a fiber."""
-        return self.frame(TRANSFORMED).lattice_rows[-1][-1] if vertex_lattice else 1
 
     def fibers(
         self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
@@ -320,8 +257,7 @@ class Instance:
         if memo is not None and memo.nodes <= cap:
             yield from memo.fibers
             return
-        scan = self.frame(TRANSFORMED).stream(k, interior_only, vertex_lattice, cap)
-        self._slices[key] = yield from scan
+        self._slices[key] = yield from self.stream(k, interior_only, vertex_lattice, cap)
 
     def slice(
         self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
@@ -340,7 +276,7 @@ class Instance:
             )
             self._slices[key] = memo
         elif memo.nodes > (cap := resolve_budget(budget)):
-            raise self.frame(TRANSFORMED).refusal(k, cap)
+            raise _refusal(self.vertices, k, cap)
         return memo
 
 
@@ -355,25 +291,22 @@ def enumerate_points(
     k: int,
     interior_only: bool = False,
     *,
-    frame: str = TRANSFORMED,
+    frame: str = MOMENT,  # the one frame; perfbench/tracer.py reads this argument by name
     budget: int | None = None,
     vertex_lattice: bool = False,
 ) -> Slice:
-    """The degree-k dilation slice as its fibers, in moment coordinates.
+    """The degree-k dilation slice as its fibers, in lexicographic order.
 
     interior_only keeps only points with strictly positive slack on every
     facet.  vertex_lattice keeps only points of the lattice the vertices
     span, and the scan visits no others: it steps through residue classes
-    of the Hermite form of the vertex columns in the scanning frame.  The
-    budget caps the nodes the scan visits.  `frame` selects the
-    coordinates enumeration works in; the scan emits moment coordinates
-    either way, and in lexicographic order with no sort: it fixes
-    coordinates left to right over ascending ranges, and the map back is
-    unit lower-triangular, so both frames give equal slices, fiber for
-    fiber.
+    of the Hermite form of the vertex columns.  The budget caps the nodes
+    the scan visits.  No sort runs: the scan fixes coordinates left to
+    right over ascending ranges.
     """
-    scan = instance(p).frame(frame)
-    stream = scan.stream(k, interior_only, vertex_lattice, resolve_budget(budget))
+    if frame != MOMENT:
+        raise ValueError(f"unknown frame {frame!r}")
+    stream = instance(p).stream(k, interior_only, vertex_lattice, resolve_budget(budget))
     while True:
         try:
             next(stream)

@@ -29,7 +29,7 @@ from cyclotoric.divdiff import _check_index_set, bvec
 from cyclotoric.intlinalg import dot, primitive, vec_sub
 from cyclotoric.kp import r1_issues
 from cyclotoric.kq import generator_lattice
-from cyclotoric.lattice import MOMENT, BudgetExceeded, Instance, instance
+from cyclotoric.lattice import BudgetExceeded, Instance, instance
 
 
 def brute_facets(p: CycloParams) -> tuple[tuple[int, ...], ...]:
@@ -273,7 +273,7 @@ def leading_facet_heights(p: CycloParams) -> tuple[tuple[int, ...], int]:
 
 def in_cone(ctx: Instance, x) -> bool:
     """Cone membership: facet hyperplanes pass through the apex (rhs 0, >=)."""
-    return all(dot(a, x) >= 0 for a in ctx.frame(MOMENT).normals)
+    return all(dot(a, x) >= 0 for a in ctx.normals)
 
 
 def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:

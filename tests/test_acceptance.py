@@ -35,6 +35,7 @@ from _oracles import (
     bvec_recursion_check,
     gap_family,
     nonface_partitions,
+    polygon_pick_data,
 )
 
 
@@ -232,17 +233,19 @@ def test_criterion_09_divisibility_cross_validation():
         assert fired > 0
 
 
-def test_criterion_10_polygon_normality_and_frames():
-    with criterion(10, "polygon normality and frame agreement", 120.0):
+def test_criterion_10_polygon_normality_and_pick_counts():
+    with criterion(10, "polygon normality and Pick's counts", 120.0):
         count = 0
         for d, tau in gap_family(max_d=2, max_n=6, max_gap=4, d_min=2):
             p = build_params(d, tau)
             flag, witness = is_normal_kp(p)
             assert flag and witness is None, tau
+            # Pick: |kP| = (k^2 * 2A + k * b) / 2 + 1, from the shoelace area
+            twice_area, boundary, interior = polygon_pick_data(p)
             for k in (1, 2):
-                assert enumerate_points(p, k, frame="moment") == enumerate_points(
-                    p, k, frame="transformed"
-                ), (tau, k)
+                expected = (k * k * twice_area + k * boundary) // 2 + 1
+                assert len(enumerate_points(p, k)) == expected, (tau, k)
+            assert len(enumerate_points(p, 1, True)) == interior, tau
             count += 1
         assert count == 1360
 

@@ -1,5 +1,6 @@
-"""The Gale-evenness facet list, the faces read from it, and facet normals in
-both frames, each checked against a hyperplane oracle."""
+"""The Gale-evenness facet list, the faces read from it, and facet normals,
+each checked against a hyperplane oracle; the triangularised half-spaces of
+a simplex are pinned here as the reference for the Gorenstein witness slacks."""
 
 import random
 
@@ -7,10 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotoric.core import CycloParams, InvalidParameters, build_params, transform, vertex
-from cyclotoric.faces import NotAFacet, facet_hyperplane, facets
+from cyclotoric.core import (
+    CycloParams,
+    InvalidParameters,
+    build_params,
+    inverse_transform_factor,
+    transform,
+    vertex,
+)
+from cyclotoric.faces import NotAFacet, facet_hyperplane, facet_normals, facets
 from cyclotoric.intlinalg import dot, mat_mul, primitive, vector_gcd
-from cyclotoric.lattice import MOMENT, TRANSFORMED, ScanFrame
+from cyclotoric.kp import NoWitnessExpected, gorenstein_witnesses
+from cyclotoric.lattice import Instance
 
 from _oracles import brute_facets, gap_family, minors_normal, nonface_partitions
 from _strategies import cyclo_params
@@ -123,7 +132,8 @@ class TestSimplexHalfspaces:
 
     @staticmethod
     def halfspaces(p):
-        return ScanFrame(p, TRANSFORMED).normals[::-1]
+        # a transformed point z has moment coordinates L.z, so a.L is the normal
+        return mat_mul(facet_normals(p), inverse_transform_factor(p))[::-1]
 
     def test_dimension_two_exact(self):
         # homogeneous: the bound 3*x0 >= 3*x1 - x2 has its right-hand side in x0
@@ -164,28 +174,43 @@ class TestSimplexHalfspaces:
             w = tuple(i for i in range(1, p.n + 1) if i != omitted)
             assert mat_mul([h], u) == (facet_hyperplane(w, p),)
 
+    def test_witness_slacks_match_the_halfspaces(self):
+        # the witness check maps each point to moment coordinates; its slacks
+        # must be the transformed half-spaces' on the point itself
+        checked = 0
+        for d, tau in gap_family(max_d=4, max_n=7, max_gap=3):
+            try:
+                rep = gorenstein_witnesses(build_params(d, tau))
+            except NoWitnessExpected:
+                continue
+            hps = self.halfspaces(rep.params_used)
+            assert rep.slacks == tuple(
+                tuple(dot(h, pt) for h in hps) for pt in rep.points
+            ), (d, tau)
+            checked += bool(rep.points)
+        assert checked > 0
+
 
 class TestFrameNormals:
     @given(cyclo_params(max_d=4, max_n=7, max_gap=3))
     @settings(max_examples=40, deadline=None)
     def test_primitive_zero_on_the_facet_positive_off(self, p):
         # these three properties determine the normal of each facet
-        for name in (MOMENT, TRANSFORMED):
-            frame = ScanFrame(p, name)
-            for w, a in zip(facets(p), frame.normals, strict=True):
-                assert vector_gcd(a) == 1, (p, name, w)
-                for i, col in enumerate(frame.columns, start=1):
-                    assert (dot(a, col) == 0) == (i in w), (p, name, w, i)
-                    assert dot(a, col) >= 0, (p, name, w, i)
-            # the shadow normals: the facets of C_t(tau) on the first t+1 coordinates
-            assert frame.shadows[-1] == frame.normals
-            for t, level in enumerate(frame.shadows, start=1):
-                shadow = CycloParams(t, p.tau)
-                for w, a in zip(facets(shadow), level, strict=True):
-                    assert len(a) == t + 1 and a[-1] in (1, -1), (p, name, t, w)
-                    for i, col in enumerate(frame.columns, start=1):
-                        assert (dot(a, col[: t + 1]) == 0) == (i in w), (p, name, t, w, i)
-                        assert dot(a, col[: t + 1]) >= 0, (p, name, t, w, i)
+        ctx = Instance(p)
+        for w, a in zip(facets(p), ctx.normals, strict=True):
+            assert vector_gcd(a) == 1, (p, w)
+            for i, col in enumerate(ctx.vertices, start=1):
+                assert (dot(a, col) == 0) == (i in w), (p, w, i)
+                assert dot(a, col) >= 0, (p, w, i)
+        # the shadow normals: the facets of C_t(tau) on the first t+1 coordinates
+        assert ctx.shadows[-1] == ctx.normals
+        for t, level in enumerate(ctx.shadows, start=1):
+            shadow = CycloParams(t, p.tau)
+            for w, a in zip(facets(shadow), level, strict=True):
+                assert len(a) == t + 1 and a[-1] in (1, -1), (p, t, w)
+                for i, col in enumerate(ctx.vertices, start=1):
+                    assert (dot(a, col[: t + 1]) == 0) == (i in w), (p, t, w, i)
+                    assert dot(a, col[: t + 1]) >= 0, (p, t, w, i)
 
 
 class TestNonfacePartitions:

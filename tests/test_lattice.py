@@ -1,7 +1,7 @@
 """Exact enumeration, dilation counts, and the generating-series numerator."""
 
 from collections import Counter
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cyclotoric.lattice as lattice_mod
 
-from cyclotoric.core import CycloParams, InvalidParameters, build_params, transform
+from cyclotoric.core import CycloParams, InvalidParameters, build_params, translate
 from cyclotoric.faces import facet_hyperplane, facets
 from cyclotoric.intlinalg import dot
 from cyclotoric.lattice import (
@@ -37,18 +37,23 @@ BOX_CAP = 10**6
 LIFTED = 10**12
 
 
-def box_volume(p, k, frame):
-    """Candidates in the degree-k bounding box of the vertex columns of `frame`."""
+def box_volume(p, k):
+    """Candidates in the degree-k bounding box of the vertex columns."""
     from cyclotoric.core import vertex
 
-    if frame == "moment":
-        cols = [vertex(p, i) for i in range(1, p.n + 1)]
-    else:
-        tm = transform(p)
-        cols = [tm.column(i) for i in range(1, p.n + 1)]
+    cols = [vertex(p, i) for i in range(1, p.n + 1)]
     return prod(
         k * (max(c[t] for c in cols) - min(c[t] for c in cols)) + 1 for t in range(1, p.d + 1)
     )
+
+
+def shifted(z, m):
+    """The moment coordinates of z once every parameter is shifted by m.
+
+    Vertex (t^j)_j goes to ((t + m)^j)_j, the unit lower-triangular Pascal
+    matrix with entries C(j, i) m^(j - i) applied to it.
+    """
+    return tuple(sum(comb(j, i) * m ** (j - i) * z[i] for i in range(j + 1)) for j in range(len(z)))
 
 
 class TestEnumeratePoints:
@@ -72,6 +77,12 @@ class TestEnumeratePoints:
         with pytest.raises(InvalidParameters):
             enumerate_points(build_params(2, [0, 1, 3]), -1)
 
+    def test_moment_is_the_only_frame(self):
+        p = build_params(2, [0, 1, 3])
+        assert enumerate_points(p, 1, frame="moment") == enumerate_points(p, 1)
+        with pytest.raises(ValueError, match="unknown frame 'transformed'"):
+            enumerate_points(p, 1, frame="transformed")
+
     def test_points_have_requested_degree_and_order(self):
         pts = list(enumerate_points(build_params(2, [0, 2, 5]), 2))
         assert all(z[0] == 2 for z in pts)
@@ -83,34 +94,32 @@ class TestEnumeratePoints:
         # no sort runs after the scan: its own order must already be lexicographic
         from itertools import product as iproduct
 
-        from cyclotoric.core import translate
-
-        p = translate(p, -p.tau[0])  # moment-frame boxes grow like tau^d
-        for frame, lattice, interior, k in iproduct(
-            ("moment", "transformed"), (False, True), (False, True), (1, 2, 3)
-        ):
-            if box_volume(p, k, frame) > BOX_CAP:
+        p = translate(p, -p.tau[0])  # boxes grow like tau^d
+        for lattice, interior, k in iproduct((False, True), (False, True), (1, 2, 3)):
+            if box_volume(p, k) > BOX_CAP:
                 continue
-            pts = list(enumerate_points(
-                p, k, interior, frame=frame, budget=LIFTED, vertex_lattice=lattice
-            ))
-            assert all(a < b for a, b in zip(pts, pts[1:])), (p, frame, lattice, interior, k)
+            pts = list(enumerate_points(p, k, interior, budget=LIFTED, vertex_lattice=lattice))
+            assert all(a < b for a, b in zip(pts, pts[1:])), (p, lattice, interior, k)
 
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
     @settings(max_examples=30, deadline=None)
     @example(CycloParams(4, (0, 1, 2, 3, 4)))
     def test_frames_agree(self, p):
-        # moment-frame boxes grow like tau^d, so compare on the zero-based translate
-        from cyclotoric.core import translate
-
+        # a translate's moment coordinates are another frame: the Pascal map
+        # carries each slice onto the translate's point for point, and, being
+        # unit lower-triangular, each shadow onto its shadow, so the scans
+        # visit equal nodes.  Boxes grow like tau^d: start zero-based
         p = translate(p, -p.tau[0])
+        q = translate(p, 1)
         for k in (1, 2, 3):
             for interior in (False, True):
                 for lattice in (False, True):
-                    kw = dict(vertex_lattice=lattice, budget=10**12)
-                    assert enumerate_points(p, k, interior, frame="moment", **kw) == (
-                        enumerate_points(p, k, interior, frame="transformed", **kw)
-                    ), (p, k, interior, lattice)
+                    kw = dict(vertex_lattice=lattice, budget=LIFTED)
+                    here = enumerate_points(p, k, interior, **kw)
+                    there = enumerate_points(q, k, interior, **kw)
+                    where = (p, k, interior, lattice)
+                    assert sorted(shifted(z, 1) for z in here) == list(there), where
+                    assert here.nodes == there.nodes, where
 
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
     @settings(max_examples=25, deadline=None)
@@ -119,23 +128,17 @@ class TestEnumeratePoints:
         import json
         from itertools import product as iproduct
 
-        from cyclotoric.core import translate
-
-        p = translate(p, -p.tau[0])  # moment-frame boxes grow like tau^d
+        p = translate(p, -p.tau[0])  # boxes grow like tau^d
         ctx = lattice_mod.instance(p)
-        for frame, lattice, interior, k in iproduct(
-            ("moment", "transformed"), (False, True), (False, True), (0, 1, 2, 3)
-        ):
-            if box_volume(p, k, frame) > BOX_CAP:
+        for lattice, interior, k in iproduct((False, True), (False, True), (0, 1, 2, 3)):
+            if box_volume(p, k) > BOX_CAP:
                 continue
-            pts = enumerate_points(
-                p, k, interior, frame=frame, budget=LIFTED, vertex_lattice=lattice
-            )
-            where = (p, frame, lattice, interior, k)
+            pts = enumerate_points(p, k, interior, budget=LIFTED, vertex_lattice=lattice)
+            where = (p, lattice, interior, k)
             points = list(pts)
             assert json.loads(json.dumps(points)) == [list(z) for z in points], where
             assert len(pts) == len(points), where
-            pivot = ctx.frame(frame).lattice_rows[-1][-1]
+            pivot = ctx.lattice_rows[-1][-1]
             assert pts.step == (pivot if lattice else 1), where
             heads = [head for head, _, _ in pts.fibers]
             assert all(a < b for a, b in zip(heads, heads[1:])), where
@@ -149,11 +152,13 @@ class TestEnumeratePoints:
             assert all((last - first) % pts.step == 0 for _, first, last in pts.fibers), where
 
     def test_frames_agree_with_negative_parameters(self):
+        # the frame of the zero-based translate, carried back by the Pascal map
         p = build_params(2, [-3, -1, 0])
         for k in (1, 2):
-            assert enumerate_points(p, k, frame="moment") == enumerate_points(
-                p, k, frame="transformed"
-            )
+            here = enumerate_points(p, k)
+            there = enumerate_points(translate(p, 3), k)
+            assert sorted(shifted(z, 3) for z in here) == list(there)
+            assert here.nodes == there.nodes
 
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
     @settings(max_examples=30, deadline=None)
@@ -187,7 +192,7 @@ class TestAgainstNaiveBoxScan:
         # box holds 2*10**7 candidates, so d = 4 checks degree 1 alone
         from itertools import product as iproduct
 
-        from cyclotoric.core import translate, vertex
+        from cyclotoric.core import vertex
         from cyclotoric.faces import facet_hyperplane, facets
 
         p = translate(p, -p.tau[0])
@@ -218,27 +223,22 @@ class TestVertexLatticeScan:
 
         lat = generator_lattice(p)
         hps = [facet_hyperplane(w, p) for w in facets(p)]
-        for frame in ("moment", "transformed"):
-            for k in (1, 2):
-                if max_box is not None and box_volume(p, k, frame) > max_box:
-                    continue
-                full = enumerate_points(p, k, frame=frame, budget=budget)
-                members = [z for z in full if lat.contains(z)]
-                strict = [z for z in members if all(dot(h, z) > 0 for h in hps)]
-                for interior, expected in ((False, members), (True, strict)):
-                    got = enumerate_points(
-                        p, k, interior, frame=frame, budget=budget, vertex_lattice=True
-                    )
-                    assert list(got) == expected, (p, frame, k, interior)
-                    # at every level it tries a subset of the full scan's values
-                    assert got.nodes <= full.nodes, (p, frame, k, interior)
+        for k in (1, 2):
+            if max_box is not None and box_volume(p, k) > max_box:
+                continue
+            full = enumerate_points(p, k, budget=budget)
+            members = [z for z in full if lat.contains(z)]
+            strict = [z for z in members if all(dot(h, z) > 0 for h in hps)]
+            for interior, expected in ((False, members), (True, strict)):
+                got = enumerate_points(p, k, interior, budget=budget, vertex_lattice=True)
+                assert list(got) == expected, (p, k, interior)
+                # at every level it tries a subset of the full scan's values
+                assert got.nodes <= full.nodes, (p, k, interior)
 
     @given(cyclo_params(max_d=3, max_n=6, max_gap=3))
     @settings(max_examples=25, deadline=None)
     def test_matches_filtered_slice(self, p):
-        from cyclotoric.core import translate
-
-        # moment-frame boxes grow like tau^d
+        # boxes grow like tau^d
         self.check(translate(p, -p.tau[0]), budget=LIFTED, max_box=BOX_CAP)
 
     def test_index_240_instance(self):
@@ -249,14 +249,28 @@ class TestVertexLatticeScan:
         self.check(p)
 
     def test_d4_instance_under_the_default_budget(self):
-        # both frames scan degree 2 under the default budget, in 1,976 nodes each
         self.check(build_params(4, [0, 1, 2, 4, 5, 6]))
+
+    @pytest.mark.parametrize(
+        "d, tau, k, interior, vertex_lattice, nodes",
+        [
+            (4, (0, 1, 2, 4, 5, 6), 2, False, False, 1976),
+            (4, (0, 1, 2, 4, 5, 6), 2, False, True, 200),
+            (3, (0, 2, 4, 6, 8), 2, False, False, 355),
+            (3, (0, 2, 4, 6, 8), 2, True, False, 355),
+            (3, (0, 1, 3, 5, 8, 11), 1, False, True, 129),
+        ],
+    )
+    def test_node_counts_are_pinned(self, d, tau, k, interior, vertex_lattice, nodes):
+        # the nodes each scan visits, pinned: a scan that does more work fails here
+        got = enumerate_points(build_params(d, tau), k, interior, vertex_lattice=vertex_lattice)
+        assert got.nodes == nodes
 
     def test_budget_refuses_the_same_box(self):
         # the budget caps the nodes a scan visits, on either lattice: one node
         # fewer than a scan needs refuses it, and the refusal names the box
         p = build_params(3, [0, 1, 3, 5, 8, 11])
-        volume = box_volume(p, 1, "transformed")
+        volume = box_volume(p, 1)
         for vertex_lattice in (False, True):
             nodes = enumerate_points(p, 1, budget=LIFTED, vertex_lattice=vertex_lattice).nodes
             with pytest.raises(BudgetExceeded) as refused:
@@ -399,14 +413,14 @@ class TestInstance:
         import cyclotoric.kq as kq_mod
 
         calls = Counter()
-        original = lattice_mod.ScanFrame.stream
+        original = lattice_mod.Instance.stream
 
-        def counting(frame, k, interior_only, vertex_lattice, cap):
+        def counting(ctx, k, interior_only, vertex_lattice, cap):
             calls[(k, interior_only, vertex_lattice)] += 1
-            return original(frame, k, interior_only, vertex_lattice, cap)
+            return original(ctx, k, interior_only, vertex_lattice, cap)
 
         # the scan primitive: whole slices and streamed ones both start here
-        monkeypatch.setattr(lattice_mod.ScanFrame, "stream", counting)
+        monkeypatch.setattr(lattice_mod.Instance, "stream", counting)
         lattice_mod.instance.cache_clear()
         p = build_params(2, [0, 1, 2, 4, 6])
         assert p.n >= p.d + 3 and kq_mod.divisibility_test(p) is None
@@ -483,27 +497,15 @@ class TestInstance:
             return wrapped
 
         monkeypatch.setattr(lattice_mod, "hnf", counting("hnf", lattice_mod.hnf))
-        # the one frame change of the facet normals, counted per instance: each
-        # instance has its own map to moment coordinates
-        frame_changes = Counter()
-        mat_mul = lattice_mod.mat_mul
-
-        def counting_mat_mul(normals, to_moment):
-            frame_changes[to_moment] += 1
-            return mat_mul(normals, to_moment)
-
-        monkeypatch.setattr(lattice_mod, "mat_mul", counting_mat_mul)
         lattice_mod.instance.cache_clear()
         p = build_params(2, [0, 1, 2, 4, 6])
         kp_mod.classify_kp(p, oracle=True)
         report = kq_mod.classify_kq(p, use_bruteforce=True)
         assert report.evidence["kind"] == "bruteforce_witness"
-        # p itself, and the sub-triangle (1, 4, 5) its witness pair is checked in
-        assert sorted(frame_changes.values()) == [1, 1]
         assert calls["hnf"] == 1
 
     def test_dropped_context_is_freed_at_once(self):
-        # no frame refers back to its context, so its slices go with it
+        # nothing a context holds refers back to it, so its slices go with it
         import gc
         import weakref
 
@@ -511,8 +513,7 @@ class TestInstance:
         gc.disable()
         try:
             ctx = lattice_mod.instance(p)
-            for frame in ("moment", "transformed"):
-                assert ctx.frame(frame).normals and ctx.frame(frame).lattice_rows
+            assert ctx.normals and ctx.lattice_rows
             assert ctx.slice(2) and ctx.slice(1, vertex_lattice=True)
             ref = weakref.ref(ctx)
             del ctx
