@@ -60,7 +60,7 @@ def derive_findings(
                 "conjecture45_unknown_instance",
                 "vertex-semigroup normality undecided by every implemented route",
             ))
-        if p.n == p.d + 2 and p.d >= 2:
+        if kq.case == "principal_d2":
             found.append((
                 "conjecture48_ci_instance",
                 "complete intersection (hence Cohen-Macaulay) with a non-normal "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .intlinalg import mat_mul, unit_lower_inverse
 
@@ -66,26 +67,14 @@ def moment_matrix(p: CycloParams) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(t**r for t in p.tau) for r in range(p.d + 1))
 
 
-class DeltaTable:
-    """Pairwise parameter differences and their running products.
+def delta(p: CycloParams, i: int, j: int) -> int:
+    """The paper's delta_{i,j} = tau_j - tau_i, for 1-based indices."""
+    return p.tau[j - 1] - p.tau[i - 1]
 
-    delta(i, j) = tau_j - tau_i and delta_tilde(i, j) is the product of
-    delta(k, j) over k = 1..i.  Indices are 1-based.
-    """
 
-    def __init__(self, p: CycloParams):
-        self.params = p
-
-    def delta(self, i: int, j: int) -> int:
-        return self.params.tau[j - 1] - self.params.tau[i - 1]
-
-    def delta_tilde(self, i: int, j: int) -> int:
-        tau = self.params.tau
-        out = 1
-        tj = tau[j - 1]
-        for k in range(i):
-            out *= tj - tau[k]
-        return out
+def delta_tilde(p: CycloParams, i: int, j: int) -> int:
+    """The paper's running product: delta_{k,j} over k = 1..i, for 1-based indices."""
+    return prod(p.tau[j - 1] - t for t in p.tau[:i])
 
 
 @dataclass(frozen=True)
@@ -129,10 +118,9 @@ def transform(p: CycloParams) -> TransformedMatrix:
     d = p.d
     factor = tuple(root_polynomial(p.tau[:r]) + (0,) * (d - r) for r in range(d + 1))
     entries = mat_mul(factor, moment_matrix(p))
-    dt = DeltaTable(p)
     for r in range(1, d + 1):
         for j in range(p.n):
-            if entries[r][j] != dt.delta_tilde(r, j + 1):
+            if entries[r][j] != delta_tilde(p, r, j + 1):
                 raise ArithmeticError("triangularisation disagrees with the product formula")
     return TransformedMatrix(entries, factor)
 

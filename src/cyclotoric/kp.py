@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    CycloParams, DeltaTable, InvalidParameters, inverse_transform_factor, reverse_negate,
-)
+from .core import CycloParams, InvalidParameters, delta, inverse_transform_factor, reverse_negate
 from .divdiff import (
     cone_coefficients,
     facet_lattice_index,
@@ -29,7 +27,7 @@ from .divdiff import (
 )
 from .faces import facet_normals, facets
 from .intlinalg import dot, mat_vec, solve_exact, vec_sub
-from .lattice import HStarVector, Instance, h_star, instance
+from .lattice import HStarVector, Instance, enumerate_points, h_star, instance
 
 
 def normality_bound(d: int) -> int:
@@ -107,8 +105,8 @@ def is_normal_kp(
     scans no further, since the degrees past it add no generator.
     """
     bound = normality_bound(p.d) if max_degree is None else min(max_degree, normality_bound(p.d))
-    ctx = instance(p)
-    witness = first_gap(ctx, ctx.slice(1, budget=budget).fibers, bound, budget=budget)
+    gens = enumerate_points(p, 1, budget=budget).fibers
+    witness = first_gap(instance(p), gens, bound, budget=budget)
     return witness is None, witness
 
 
@@ -282,9 +280,8 @@ def _witnesses_dim3_simplex(pp: CycloParams, subset) -> WitnessReport:
         pp = reverse_negate(pp)
         rev = True
         g1, g2, g3 = pp.gaps
-    dt = DeltaTable(pp)
     if g2 >= 2:
-        base = (1, dt.delta(1, 2) + 1, dt.delta(1, 3) + 1)
+        base = (1, delta(pp, 1, 2) + 1, delta(pp, 1, 3) + 1)
         pts = (base + (1,), base + (2,))
     elif g1 >= 2 and g3 >= 2:
         pts = ((1, 2, 2, 1), (1, 2, 2, 2))
@@ -322,13 +319,12 @@ def gorenstein_witnesses(p: CycloParams) -> WitnessReport:
         return _witnesses_dim3_simplex(_sub_params(p, (1, 3, 4, 5)), (1, 3, 4, 5))
     subset = tuple(range(1, d + 2))
     sub = _sub_params(p, subset)
-    dt = DeltaTable(sub)
     if d % 2 == 0:
-        mid = [dt.delta(1, j) + 1 for j in range(2, d)]
-        pts = tuple(tuple([1] + mid + [dt.delta(1, d), q]) for q in (1, 2))
+        mid = [delta(sub, 1, j) + 1 for j in range(2, d)]
+        pts = tuple(tuple([1] + mid + [delta(sub, 1, d), q]) for q in (1, 2))
     else:
-        mid = [dt.delta(1, j) + 1 for j in range(2, d + 1)]
-        pts = tuple(tuple([1] + mid + [dt.delta(1, d + 1) - q]) for q in (1, 2))
+        mid = [delta(sub, 1, j) + 1 for j in range(2, d + 1)]
+        pts = tuple(tuple([1] + mid + [delta(sub, 1, d + 1) - q]) for q in (1, 2))
     return _verified_report(sub, pts, subset, False)
 
 

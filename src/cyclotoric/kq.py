@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .core import CycloParams, DeltaTable, InvalidParameters, moment_matrix
+from .core import CycloParams, InvalidParameters, delta_tilde, moment_matrix
 from .intlinalg import lattice_contains, mat_vec, primitive
 from .kp import first_gap, normality_bound
 from .lattice import BudgetExceeded, instance
@@ -128,10 +128,9 @@ def divisibility_test(p: CycloParams) -> int | None:
     """
     if p.n < p.d + 3:
         raise InvalidParameters("divisibility criterion needs n >= d+3")
-    dt = DeltaTable(p)
-    base = dt.delta_tilde(p.d, p.d + 1)
+    base = delta_tilde(p, p.d, p.d + 1)
     for s in range(p.d + 2, p.n + 1):
-        if dt.delta_tilde(p.d, s) % base:
+        if delta_tilde(p, p.d, s) % base:
             return s
     return None
 

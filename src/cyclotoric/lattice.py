@@ -24,12 +24,14 @@ variable.
 
 Every stage reads one `Instance` context: the scan data (vertex columns,
 the facet normals of the polytope and of its shadows, the Hermite rows
-of the vertex lattice) and a memo of slices.  A slice is streamed fiber
-by fiber, so a reader that stops early, at a gap, stops the scan too;
-the memo keeps a slice, with the nodes its scan visited, only once a
-reader has reached its end.  `instance` keeps the latest context, keyed
-on the parameters alone.  The budget comes with each slice request, and
-a memo hit is read only within it.
+of the vertex lattice) and a memo of slices, which `Instance.fibers`
+alone reads and writes.  A slice is streamed fiber by fiber, so a reader
+that stops early, at a gap, stops the scan too; `enumerate_points`
+reads the same stream to its end.  One rule holds for every read: a memo
+entry, with the nodes its scan visited, is read back only within the
+budget of the request, else the slice is scanned afresh and kept once
+read to its end.  `instance` keeps the latest context, keyed on the
+parameters alone.
 """
 
 from __future__ import annotations
@@ -132,11 +134,6 @@ class Instance:
         """
         d, tau = self.p.d, self.p.tau
         return tuple(facet_normals(CycloParams(t, tau)) for t in range(1, d + 1))
-
-    @property
-    def normals(self) -> tuple[tuple[int, ...], ...]:
-        """The primitive inward facet normals, in facet order."""
-        return self.shadows[-1]
 
     @cached_property
     def lattice_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -243,40 +240,21 @@ class Instance:
         self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
         budget: int | None = None,
     ):
-        """The fibers of the degree-k slice in scan order, streamed as the scan finds them.
+        """Yield the fibers of the degree-k slice in scan order; return the Slice.
 
-        A stream read to its end is kept in the memo; one left early, at a
-        gap or at the budget, leaves no entry.  A memo hit whose scan
-        visited more nodes than `budget` allows is scanned afresh, so the
-        stream stops where a fresh one would: at a gap before the budget,
-        or at the refusal a fresh scan gives.
+        The one reader of the memo.  A hit whose scan visited no more
+        nodes than `budget` allows is read back; otherwise the slice is
+        scanned afresh, so the stream stops where a fresh one would, and
+        it is kept once read to its end: one left early, at a gap or at
+        the budget, leaves no entry.
         """
         key = (k, interior_only, vertex_lattice)
         cap = resolve_budget(budget)
         memo = self._slices.get(key)
-        if memo is not None and memo.nodes <= cap:
+        if memo is None or memo.nodes > cap:
+            memo = self._slices[key] = yield from self.stream(k, interior_only, vertex_lattice, cap)
+        else:
             yield from memo.fibers
-            return
-        self._slices[key] = yield from self.stream(k, interior_only, vertex_lattice, cap)
-
-    def slice(
-        self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
-        budget: int | None = None,
-    ) -> Slice:
-        """The whole degree-k slice in scan order, enumerated once and kept as its fibers.
-
-        A memo hit whose scan visited more nodes than `budget` allows
-        refuses with the message a fresh scan gives.
-        """
-        key = (k, interior_only, vertex_lattice)
-        memo = self._slices.get(key)
-        if memo is None:
-            memo = enumerate_points(
-                self.p, k, interior_only, budget=budget, vertex_lattice=vertex_lattice
-            )
-            self._slices[key] = memo
-        elif memo.nodes > (cap := resolve_budget(budget)):
-            raise _refusal(self.vertices, k, cap)
         return memo
 
 
@@ -302,11 +280,12 @@ def enumerate_points(
     span, and the scan visits no others: it steps through residue classes
     of the Hermite form of the vertex columns.  The budget caps the nodes
     the scan visits.  No sort runs: the scan fixes coordinates left to
-    right over ascending ranges.
+    right over ascending ranges.  This is `instance(p).fibers` read to
+    its end, so it reads and fills that memo by the same rule.
     """
     if frame != MOMENT:
         raise ValueError(f"unknown frame {frame!r}")
-    stream = instance(p).stream(k, interior_only, vertex_lattice, resolve_budget(budget))
+    stream = instance(p).fibers(k, interior_only, vertex_lattice, budget)
     while True:
         try:
             next(stream)
@@ -315,7 +294,7 @@ def enumerate_points(
 
 
 def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:
-    return len(instance(p).slice(k, True, budget=budget))
+    return len(enumerate_points(p, k, True, budget=budget))
 
 
 @dataclass(frozen=True)
@@ -366,8 +345,7 @@ def h_star(p: CycloParams, *, budget: int | None = None) -> HStarVector:
     """
     d = p.d
     m = (d + 1) // 2
-    ctx = instance(p)
-    full = [len(ctx.slice(k, budget=budget)) for k in range(m + 1)]
+    full = [len(enumerate_points(p, k, budget=budget)) for k in range(m + 1)]
     inner = [0] + [interior_count(p, k, budget=budget) for k in range(1, d - m + 1)]
 
     def binomial(counts, j):

@@ -24,12 +24,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from cyclotoric.core import CycloParams, DeltaTable, InvalidParameters, vertex
+from cyclotoric.core import CycloParams, InvalidParameters, delta_tilde, vertex
 from cyclotoric.divdiff import _check_index_set, bvec
 from cyclotoric.intlinalg import dot, primitive, vec_sub
 from cyclotoric.kp import r1_issues
 from cyclotoric.kq import generator_lattice
-from cyclotoric.lattice import BudgetExceeded, Instance, instance
+from cyclotoric.lattice import BudgetExceeded, Instance, Slice, enumerate_points, instance
 
 
 def brute_facets(p: CycloParams) -> tuple[tuple[int, ...], ...]:
@@ -108,8 +108,7 @@ def ehrhart_counts(p: CycloParams, k_max: int, *, budget: int | None = None) -> 
     """Lattice-point counts of the dilations 0..k_max."""
     if k_max < 0:
         raise InvalidParameters("k_max must be nonnegative")
-    ctx = instance(p)
-    return [len(ctx.slice(k, budget=budget)) for k in range(k_max + 1)]
+    return [len(enumerate_points(p, k, budget=budget)) for k in range(k_max + 1)]
 
 
 def h_star_all_degrees(p: CycloParams, *, budget: int | None = None) -> tuple[int, ...]:
@@ -263,8 +262,7 @@ def leading_facet_heights(p: CycloParams) -> tuple[tuple[int, ...], int]:
     one; dividing the raw values by the gcd gives the lattice-normalised
     form.
     """
-    dt = DeltaTable(p)
-    vals = tuple(dt.delta_tilde(p.d, i) for i in range(p.d + 1, p.n + 1))
+    vals = tuple(delta_tilde(p, p.d, i) for i in range(p.d + 1, p.n + 1))
     g = 0
     for v in vals:
         g = gcd(g, v)
@@ -273,7 +271,7 @@ def leading_facet_heights(p: CycloParams) -> tuple[tuple[int, ...], int]:
 
 def in_cone(ctx: Instance, x) -> bool:
     """Cone membership: facet hyperplanes pass through the apex (rhs 0, >=)."""
-    return all(dot(a, x) >= 0 for a in ctx.normals)
+    return all(dot(a, x) >= 0 for a in ctx.shadows[-1])
 
 
 def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
@@ -285,7 +283,7 @@ def member_kp(z, p: CycloParams, *, budget: int | None = None) -> bool:
     """
     z = tuple(z)
     ctx = instance(p)
-    gens = tuple(ctx.slice(1, budget=budget))
+    gens = tuple(enumerate_points(p, 1, budget=budget))
     memo: dict[tuple[int, ...], bool] = {}
 
     def rec(x) -> bool:
@@ -318,9 +316,10 @@ def cone_probe_normal_kp(
     bound = p.d if max_degree is None else max_degree
     ctx = instance(p)
     vert_set = set(ctx.vertices)
-    gens = ctx.vertices + tuple(g for g in ctx.slice(1, budget=budget) if g not in vert_set)
+    slice1 = enumerate_points(p, 1, budget=budget)
+    gens = ctx.vertices + tuple(g for g in slice1 if g not in vert_set)
     for k in range(2, bound + 1):
-        for z in ctx.slice(k, budget=budget):
+        for z in enumerate_points(p, k, budget=budget):
             if not any(in_cone(ctx, vec_sub(z, g)) for g in gens):
                 return False, z
     return True, None
@@ -344,7 +343,7 @@ def cone_probe_normal_kq(
     vert_set = set(ctx.vertices)
     try:
         for k in range(1, bound + 1):
-            for z in ctx.slice(k, budget=budget):
+            for z in enumerate_points(p, k, budget=budget):
                 if not lat.contains(z):
                     continue
                 if k == 1:
@@ -373,7 +372,9 @@ def pointwise_first_gap(
     last = gens[0]
     for k in range(1, bound + 1):
         kept = set()
-        for z in ctx.slice(k, vertex_lattice=vertex_lattice, budget=budget):
+        # the whole slice is read before its first point is checked
+        fibers = tuple(ctx.fibers(k, vertex_lattice=vertex_lattice, budget=budget))
+        for z in Slice(fibers, ctx.step(vertex_lattice)):
             if k == 1:
                 if z not in below:
                     return z

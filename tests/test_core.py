@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from cyclotoric.core import (
-    DeltaTable,
     InvalidParameters,
     build_params,
     canonical_form,
+    delta,
+    delta_tilde,
     inverse_transform_factor,
     moment_matrix,
     reverse_negate,
@@ -93,25 +94,23 @@ class TestTransform:
 
 class TestDeltaTable:
     def test_antisymmetry_and_sign(self):
-        dt = DeltaTable(build_params(2, [0, 1, 3]))
-        assert dt.delta(1, 3) == 3 and dt.delta(3, 1) == -3
-        assert dt.delta(1, 2) > 0
+        p = build_params(2, [0, 1, 3])
+        assert delta(p, 1, 3) == 3 and delta(p, 3, 1) == -3
+        assert delta(p, 1, 2) > 0
 
     @given(cyclo_params())
     @settings(max_examples=40, deadline=None)
     def test_last_row_strictly_increasing(self, p):
-        dt = DeltaTable(p)
-        vals = [dt.delta_tilde(p.d, j) for j in range(p.d + 1, p.n + 1)]
+        vals = [delta_tilde(p, p.d, j) for j in range(p.d + 1, p.n + 1)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert all(v > 0 for v in vals)
 
     @given(cyclo_params())
     @settings(max_examples=40, deadline=None)
     def test_positive_above_diagonal(self, p):
-        dt = DeltaTable(p)
         for i in range(1, p.d + 1):
             for j in range(i + 1, p.n + 1):
-                assert dt.delta_tilde(i, j) > 0
+                assert delta_tilde(p, i, j) > 0
 
 
 class TestEquivalences:
@@ -134,12 +133,11 @@ class TestEquivalences:
     @settings(max_examples=40, deadline=None)
     def test_translate_preserves_deltas(self, p):
         q = translate(p, 7)
-        dtp, dtq = DeltaTable(p), DeltaTable(q)
         for i in range(1, p.d + 1):
             for j in range(1, p.n + 1):
                 if i != j:
-                    assert dtp.delta(i, j) == dtq.delta(i, j)
-                    assert dtp.delta_tilde(i, j) == dtq.delta_tilde(i, j)
+                    assert delta(p, i, j) == delta(q, i, j)
+                    assert delta_tilde(p, i, j) == delta_tilde(q, i, j)
 
     def test_translate_to_zero(self):
         p = build_params(2, [4, 5, 7])

@@ -197,13 +197,13 @@ class TestFrameNormals:
     def test_primitive_zero_on_the_facet_positive_off(self, p):
         # these three properties determine the normal of each facet
         ctx = Instance(p)
-        for w, a in zip(facets(p), ctx.normals, strict=True):
+        for w, a in zip(facets(p), facet_normals(p), strict=True):
             assert vector_gcd(a) == 1, (p, w)
             for i, col in enumerate(ctx.vertices, start=1):
                 assert (dot(a, col) == 0) == (i in w), (p, w, i)
                 assert dot(a, col) >= 0, (p, w, i)
         # the shadow normals: the facets of C_t(tau) on the first t+1 coordinates
-        assert ctx.shadows[-1] == ctx.normals
+        assert ctx.shadows[-1] == facet_normals(p)
         for t, level in enumerate(ctx.shadows, start=1):
             shadow = CycloParams(t, p.tau)
             for w, a in zip(facets(shadow), level, strict=True):

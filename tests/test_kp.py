@@ -149,7 +149,7 @@ class TestIsNormal:
             assert is_normal_kp(p, bound) == (True, None)
             lookups.append(calls[0])
         for k, made in ((1, lookups[0]), (2, lookups[1] - lookups[0])):
-            fibers = len(instance(p).slice(k).fibers)
+            fibers = len(enumerate_points(p, k).fibers)
             assert made <= 8 * fibers, (k, made, fibers)
 
     def test_fiber_scan_matches_the_pointwise_reference(self):
@@ -173,7 +173,7 @@ class TestIsNormal:
         def reference_kp(p, bound, budget):
             ctx = instance(p)
             vert_set = set(ctx.vertices)
-            slice1 = ctx.slice(1, budget=budget)
+            slice1 = enumerate_points(p, 1, budget=budget)
             gens = ctx.vertices + tuple(g for g in slice1 if g not in vert_set)
             witness = pointwise_first_gap(ctx, gens, bound, budget=budget)
             return witness is None, witness
@@ -224,12 +224,13 @@ class TestIsNormal:
         # only its vertices, and (2, 1, 1, 1) lies in 2P but is no sum of two
         for r in (1, 2, 3, 4):
             ctx = _BoxContext(((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, r)))
-            assert len(ctx.slice(1)) == 4
+            slice1 = Slice(ctx.fibers(1), 1)
+            assert len(slice1) == 4
             expected = None if r == 1 else (2, 1, 1, 1)
             for bound in (1, 2, 3):
                 want = expected if bound >= 2 else None
-                assert pointwise_first_gap(ctx, tuple(ctx.slice(1)), bound) == want, (r, bound)
-                assert first_gap(ctx, tuple(ctx.slice(1).fibers), bound) == want, (r, bound)
+                assert pointwise_first_gap(ctx, tuple(slice1), bound) == want, (r, bound)
+                assert first_gap(ctx, slice1.fibers, bound) == want, (r, bound)
 
     def test_both_rings_match_the_cone_probe_scans(self):
         # under budget 5 the cone-probe scans, which read whole slices to
@@ -271,8 +272,8 @@ class TestIsNormal:
 class _BoxContext:
     """A stand-in instance context for a lattice simplex given by its homogeneous vertices.
 
-    Slices come from filtering the whole bounding box by the facet
-    inequalities, and fibers from grouping the points by their head.
+    A slice's fibers come from filtering the whole bounding box by the
+    facet inequalities and grouping the points by their head.
     """
 
     def __init__(self, vertices):
@@ -286,9 +287,6 @@ class _BoxContext:
         return 1
 
     def fibers(self, k, vertex_lattice=False, budget=None):
-        return self.slice(k).fibers
-
-    def slice(self, k, vertex_lattice=False, budget=None):
         from itertools import groupby
         from itertools import product as iproduct
 
@@ -301,11 +299,10 @@ class _BoxContext:
             for rest in iproduct(*ranges)
             if all(dot(a, (k,) + rest) >= 0 for a in self.normals)
         ]
-        fibers = tuple(
+        return tuple(
             (head, run[0][-1], run[-1][-1])
             for head, run in ((h, list(g)) for h, g in groupby(pts, key=lambda z: z[:-1]))
         )
-        return Slice(fibers, 1)
 
 
 class TestR1:

@@ -425,7 +425,7 @@ class TestInstance:
         p = build_params(2, [0, 1, 2, 4, 6])
         assert p.n >= p.d + 3 and kq_mod.divisibility_test(p) is None
         budget = 10**5  # not the default: each slice request carries it to the node check
-        kp_mod.classify_kp(p, oracle=True, budget=budget)
+        kp_report = kp_mod.classify_kp(p, oracle=True, budget=budget)
         assert calls[(1, False, False)] == 1 and max(calls.values()) == 1
         # stages with no budget of their own read the same context
         kp_mod.interior_generator_candidate(p)
@@ -434,42 +434,58 @@ class TestInstance:
         assert report.evidence["kind"] == "bruteforce_witness"
         assert calls[(1, False, True)] == 1 and calls[(1, False, False)] == 1
         assert max(calls.values()) == 1
+        # whole-slice reads after them return the memo entries themselves
+        memo = lattice_mod.instance(p)._slices
+        for (k, interior, lattice), entry in list(memo.items()):
+            got = enumerate_points(p, k, interior, budget=budget, vertex_lattice=lattice)
+            assert got is entry, (k, interior, lattice)
+        assert interior_count(p, 1, budget=budget) == len(memo[(1, True, False)])
+        assert h_star(p, budget=budget) == kp_report.h_star
+        assert max(calls.values()) == 1
 
     def test_memo_never_outlives_its_budget(self):
+        # one rule for every read: an entry is read back only within the
+        # budget of the request, else the slice is scanned afresh
         p = build_params(2, [0, 1, 3])
+        lattice_mod.instance.cache_clear()
         assert h_star(p, budget=100).h == (1, 4, 1)
         assert interior_count(p, 1, budget=100) == 1
         ctx = lattice_mod.instance(p)
-        memo, inner = ctx.slice(1, budget=100), ctx.slice(1, True, budget=100)
+        memo, inner = ctx._slices[(1, False, False)], ctx._slices[(1, True, False)]
         assert (memo.nodes, inner.nodes) == (5, 5)  # each budget below refuses by one node
         with pytest.raises(BudgetExceeded):
             h_star(p, budget=4)
         with pytest.raises(BudgetExceeded):
             interior_count(p, 1, budget=4)
-        # a refused memo hit says what a fresh enumeration under that budget
-        # says, whether the slice is read whole or streamed
-        with pytest.raises(BudgetExceeded) as hit:
-            ctx.slice(1, budget=4)
+        # a refused memo hit says what the scan primitive says under that
+        # budget, whether the slice is read whole or streamed
+        with pytest.raises(BudgetExceeded) as whole:
+            enumerate_points(p, 1, budget=4)
         with pytest.raises(BudgetExceeded) as streamed:
             list(ctx.fibers(1, budget=4))
         with pytest.raises(BudgetExceeded) as fresh:
-            enumerate_points(p, 1, budget=4)
-        assert str(hit.value) == str(streamed.value) == str(fresh.value)
-        assert ctx.slice(1, budget=5) is memo
+            list(ctx.stream(1, False, False, 4))
+        assert str(whole.value) == str(streamed.value) == str(fresh.value)
+        # a refusal leaves the entry, and a budget that admits it reads it back
+        assert ctx._slices[(1, False, False)] is memo
+        assert enumerate_points(p, 1, budget=5) is memo
         assert list(ctx.fibers(1, budget=5)) == list(memo.fibers)
 
     def test_a_stream_left_early_leaves_no_entry(self):
         # only a stream read to its end is kept: one stopped at a gap or by
         # the budget is not, and a later request scans afresh
         p = build_params(3, [0, 1, 3, 5, 8, 11])
+        key = (1, False, True)
+        # a whole read is kept, so it is taken on a context of its own
+        lattice_mod.instance.cache_clear()
+        whole = enumerate_points(p, 1, vertex_lattice=True)
+        assert lattice_mod.instance(p)._slices[key] is whole
         lattice_mod.instance.cache_clear()
         ctx = lattice_mod.instance(p)
-        key = (1, False, True)
         stream = ctx.fibers(1, vertex_lattice=True)
         first = next(stream)
         stream.close()
         assert key not in ctx._slices
-        whole = enumerate_points(p, 1, vertex_lattice=True)
         with pytest.raises(BudgetExceeded):
             list(ctx.fibers(1, vertex_lattice=True, budget=whole.nodes - 1))
         assert key not in ctx._slices
@@ -513,8 +529,8 @@ class TestInstance:
         gc.disable()
         try:
             ctx = lattice_mod.instance(p)
-            assert ctx.normals and ctx.lattice_rows
-            assert ctx.slice(2) and ctx.slice(1, vertex_lattice=True)
+            assert ctx.shadows[-1] and ctx.lattice_rows
+            assert enumerate_points(p, 2) and enumerate_points(p, 1, vertex_lattice=True)
             ref = weakref.ref(ctx)
             del ctx
             lattice_mod.instance(build_params(2, [0, 1, 3]))
@@ -526,5 +542,5 @@ class TestInstance:
         p = build_params(3, [0, 1, 3, 4, 7])
         ctx = lattice_mod.instance(p)
         hps = [facet_hyperplane(w, p) for w in facets(p)]
-        for z in list(ctx.slice(2)) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
+        for z in list(enumerate_points(p, 2)) + [(1, -1, 0, 0), (2, 1, 1, 1)]:
             assert in_cone(ctx, z) == all(dot(h, z) >= 0 for h in hps)
