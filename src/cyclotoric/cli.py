@@ -1,14 +1,14 @@
 """Command-line interface: classify one instance, scan families, print witnesses.
 
-Scans enumerate gap tuples up to a cap, deduplicate equivalent instances
-through the canonical form, classify each one, and emit one JSON record
-per line in canonical order regardless of worker count, so repeated runs
-are byte-identical.  Findings (theorem/oracle disagreements, failed
-witness verifications, unknown or complete-intersection instances) are
-data: they never change the exit code.
+Scans classify the gap tuples up to a cap, one per canonical form, and write
+each instance's JSON record, findings and CSV row as it finishes, in canonical
+order whatever the worker count: runs are byte-identical, and a scan stopped or
+killed partway leaves whole lines up to the stop and no summary.  Findings
+(theorem/oracle disagreements, failed witness verifications, unknown or
+complete-intersection instances) are data: they never change the exit code.
 
-Exit codes: 0 success, 2 usage or validation error, 3 enumeration budget
-exhausted.
+Exit codes: 0 success, 2 usage, validation or io error (such as an output
+its reader closed), 3 enumeration budget exhausted.
 """
 
 from __future__ import annotations
@@ -215,59 +215,58 @@ COLUMNS = {
     "kq_normal": _at("kq", "normal"),
     "findings_count": lambda r: len(r["findings"]),
 }
-# the scan summary's ring counts: (summary key, column, value counted)
-COUNTS = (
-    ("kp_normal", "normal", True),
-    ("kp_gorenstein_theorem", "gorenstein_theorem", True),
-    ("kp_gorenstein_oracle", "gorenstein_oracle", "gorenstein"),
-    ("kq_normal_yes", "kq_normal", "yes"),
-    ("kq_normal_no", "kq_normal", "no"),
-    ("kq_normal_unknown", "kq_normal", "unknown"),
-)
-
-
-def _write_csv(fh, records: list[dict]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(COLUMNS)
-    writer.writerows([get(r) for get in COLUMNS.values()] for r in records)
+# the scan summary: its counts, in order, and what each record adds to each
+SUMMARY = {
+    "instances": lambda r: 1,
+    "ok": lambda r: r["status"] == "ok",
+    "skipped": lambda r: r["status"] == "skipped",
+    "kp_normal": lambda r: COLUMNS["normal"](r) is True,
+    "kp_gorenstein_theorem": lambda r: COLUMNS["gorenstein_theorem"](r) is True,
+    "kp_gorenstein_oracle": lambda r: COLUMNS["gorenstein_oracle"](r) == "gorenstein",
+    "kq_normal_yes": lambda r: COLUMNS["kq_normal"](r) == "yes",
+    "kq_normal_no": lambda r: COLUMNS["kq_normal"](r) == "no",
+    "kq_normal_unknown": lambda r: COLUMNS["kq_normal"](r) == "unknown",
+    "findings": COLUMNS["findings_count"],
+}
 
 
 def cmd_scan(args) -> int:
     tasks = _scan_instances(args)
-    threads = args.threads if args.threads is not None else os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    threads = cores if args.threads is None else args.threads
     if threads < 1:
         raise InvalidParameters("threads must be at least 1")
-    # the fork start method forks every worker at the first submit, so size the pool
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    with ExitStack() as outputs:
+    summary = dict.fromkeys(SUMMARY, 0)
+    with ExitStack() as stack:
 
         def output(path, newline=None):
-            return path and outputs.enter_context(
-                open(path, "w", encoding="utf-8", newline=newline)
+            # line-buffered, so every record written is whole on disk, even after a kill
+            return path and stack.enter_context(
+                open(path, "w", buffering=1, encoding="utf-8", newline=newline)
             )
 
         # every output opens before the first instance, so a bad path costs no scan
-        out, findings, csv_out = output(args.out), output(args.findings), output(args.csv, "")
+        out, findings = output(args.out) or sys.stdout, output(args.findings)
+        rows = args.csv and csv.writer(output(args.csv, ""))
+        if rows:
+            rows.writerow(COLUMNS)
+        records = map(_scan_worker, tasks)
+        # the fork start method forks every worker at the first submit, so size the pool
+        workers = min(threads, len(tasks), cores)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_scan_worker, tasks))
-        else:
-            records = [_scan_worker(t) for t in tasks]
-
-        (out or sys.stdout).write("".join(json.dumps(r) + "\n" for r in records))
-        all_findings = [f for r in records for f in r["findings"]]
-        if findings:
-            findings.write("".join(json.dumps(f) + "\n" for f in all_findings))
-        if csv_out:
-            _write_csv(csv_out, records)
-
-    summary = {"instances": len(records)}
-    summary |= {status: sum(r["status"] == status for r in records) for status in ("ok", "skipped")}
-    summary |= {key: sum(COLUMNS[column](r) == value for r in records)
-                for key, column, value in COUNTS}
-    summary["findings"] = len(all_findings)
+            # entered after the outputs, so it shuts down before they close
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            records = pool.map(_scan_worker, tasks)
+        for record in records:  # in task order, each written as it arrives
+            out.write(json.dumps(record) + "\n")
+            if findings:
+                findings.writelines(json.dumps(f) + "\n" for f in record["findings"])
+            if rows:
+                rows.writerow([get(record) for get in COLUMNS.values()])
+            for key, count in SUMMARY.items():
+                summary[key] += count(record)
     print("scan summary: " + json.dumps(summary), file=sys.stderr)
     return 0
 

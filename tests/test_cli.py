@@ -4,8 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import signal
 import subprocess
 import sys
+import textwrap
 import traceback
 from itertools import accumulate, product
 
@@ -321,6 +323,78 @@ class TestScan:
             "findings": sum(len(r["findings"]) for r in records),
         }
         assert err.getvalue() == f"scan summary: {json.dumps(summary)}\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_stopped_scan_leaves_the_records_before_the_stop(
+        self, monkeypatch, tmp_path, threads
+    ):
+        import cyclotoric.cli as cli_mod
+
+        scan = ["scan", "--d", "2..2", "--n", "3..4", "--max-gap", "2", "--ring", "both",
+                "--oracle", "--threads", threads]
+
+        def outputs(name):
+            (tmp_path / name).mkdir()
+            return {flag: tmp_path / name / flag[2:] for flag in ("--out", "--findings", "--csv")}
+
+        full, stopped = outputs("full"), outputs("stopped")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main([*scan, *(str(a) for pair in full.items() for a in pair)]) == 0
+        records = [json.loads(line) for line in full["--out"].read_text().splitlines()]
+        m = 5  # the 6th of these 9 records has findings, and so have some before it
+        assert len(records) == 9 and records[m]["findings"]
+        stop = (records[m]["d"], tuple(records[m]["tau"]))
+        classify = cli_mod._classify_instance
+
+        def classify_until_the_stop(p, *options):
+            if (p.d, p.tau) == stop:
+                raise RuntimeError("stopped")
+            return classify(p, *options)
+
+        # the workers a pool forks inherit the patch
+        monkeypatch.setattr(cli_mod, "_classify_instance", classify_until_the_stop)
+        err = io.StringIO()
+        with pytest.raises(RuntimeError, match="stopped"), contextlib.redirect_stderr(err):
+            main([*scan, *(str(a) for pair in stopped.items() for a in pair)])
+        assert err.getvalue() == ""  # no summary line
+
+        def lines(path):
+            return path.read_text().splitlines(keepends=True)
+
+        found = sum(len(r["findings"]) for r in records[:m])
+        assert lines(stopped["--out"]) == lines(full["--out"])[:m]
+        assert lines(stopped["--findings"]) == lines(full["--findings"])[:found]
+        assert lines(stopped["--csv"]) == lines(full["--csv"])[:m + 1]  # the header, m rows
+
+    def test_a_killed_scan_leaves_whole_records(self, tmp_path):
+        # a driver that kills its own process, with no clean-up, at the 4th instance
+        driver = textwrap.dedent("""
+            import os, signal, sys
+            import cyclotoric.cli as cli
+            classify, calls = cli._classify_instance, []
+            def classify_or_kill(*args):
+                calls.append(args)
+                if len(calls) == 4:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return classify(*args)
+            cli._classify_instance = classify_or_kill
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        out, findings, table = (tmp_path / name for name in ("out", "findings", "csv"))
+        res = subprocess.run(
+            [sys.executable, "-c", driver, "scan", "--d", "2..2", "--n", "3..4",
+             "--max-gap", "2", "--ring", "both", "--oracle", "--threads", "1",
+             "--out", str(out), "--findings", str(findings), "--csv", str(table)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert res.returncode == -signal.SIGKILL and res.stderr == ""
+        assert out.read_text().endswith("\n")
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 3
+        assert [json.loads(line) for line in findings.read_text().splitlines()] == [
+            f for r in records for f in r["findings"]
+        ]
+        assert len(table.read_text().splitlines()) == 4  # the header and 3 rows
 
 
 class TestWitnessCommands:
