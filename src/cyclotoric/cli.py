@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from itertools import accumulate, product
 
 from .core import CycloParams, InvalidParameters, build_params, canonical_form
@@ -256,9 +256,9 @@ def cmd_scan(args) -> int:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
 
-            # entered after the outputs, so it shuts down before they close
+            # after the outputs, so it shuts down first; its map last, so an error cancels the rest
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            records = pool.map(_scan_worker, tasks)
+            records = stack.enter_context(closing(pool.map(_scan_worker, tasks)))
         for record in records:  # in task order, each written as it arrives
             out.write(json.dumps(record) + "\n")
             if findings:
@@ -350,15 +350,15 @@ def _show_hstar(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
 
 def _show_points(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     pts = enumerate_points(p, args.k, args.interior, budget=args.budget)
-    # tuples encode as JSON arrays; text lines are made only when printed
-    return {"k": args.k, "points": list(pts)}, (" ".join(map(str, z)) for z in pts)
+    # points are built only as printed: JSON lists the slice, text streams its lines
+    return {"k": args.k, "points": pts}, (" ".join(map(str, z)) for z in pts)
 
 
 def cmd_print(args) -> int:
     """The printer commands: one JSON object with --json, else the text lines."""
     payload, lines = args.show(_params(args), args)
     if args.json:
-        print(json.dumps({"schema": SCHEMA_VERSION, **payload}))
+        print(json.dumps({"schema": SCHEMA_VERSION, **payload}, default=list))
     else:
         for line in lines:
             print(line)

@@ -147,25 +147,22 @@ class Instance:
         """The step along the last coordinate within a fiber."""
         return self.lattice_rows[-1][-1] if vertex_lattice else 1
 
-    def stream(self, k: int, interior_only: bool, vertex_lattice: bool, cap: int):
+    def stream(self, k: int, vertex_lattice: bool, cap: int):
         """Yield the fibers of the degree-k slice as the scan finds them; return the Slice.
 
         The slice holds the points z = (k, z_1..z_d) with a.z >= 0 for every
-        facet normal a, or a.z >= 1 with `interior_only`, and with
-        `vertex_lattice` only those of the lattice of `lattice_rows`.
-        Coordinates are fixed left to right.  At level t the normals b of
-        `shadows[t-1]`, the facets of the shadow C_t(tau), have t+1 entries
-        and a leading entry +-1, so each bounds z_t alone once the prefix is
-        fixed: z_t >= -b.prefix where it is 1, z_t <= b.prefix where it is
-        -1.  The range of z_t is thus the exact real one the closed slice
-        leaves to the prefix, and no node is visited whose prefix lies
-        outside the shadow.  Interior and lattice slices lie inside the
-        closed slice, so those bounds hold for them too; level d is C_d(tau)
-        itself, whose normals are the facets, and bounds with the interior
-        offset, so every value of its range is a point and that level is
-        emitted whole, as a fiber of its prefix, with no point built.  Each
-        normal's sum over the prefix is carried down the recursion, one
-        product per fixed coordinate.
+        facet normal a, and with `vertex_lattice` only those of the lattice
+        of `lattice_rows`.  Coordinates are fixed left to right.  At level t
+        the normals b of `shadows[t-1]`, the facets of the shadow C_t(tau),
+        have t+1 entries and a leading entry +-1, so each bounds z_t alone
+        once the prefix is fixed: z_t >= -b.prefix where it is 1, z_t <=
+        b.prefix where it is -1.  The range of z_t is thus the exact real one
+        the closed slice, and so a lattice slice, leaves to the prefix, and
+        no node is visited whose prefix lies outside the shadow.  Level d is
+        C_d(tau) itself, whose normals are the facets, so every value of its
+        range is a point and that level is emitted whole, as a fiber of its
+        prefix, with no point built.  Each normal's sum over the prefix is
+        carried down the recursion, one product per fixed coordinate.
 
         A prefix lies in the lattice exactly when each coordinate t is
         congruent, modulo the Hermite pivot, to the offset the earlier
@@ -180,11 +177,8 @@ class Instance:
         if k < 0:
             raise InvalidParameters("dilation degree must be nonnegative")
         d, vertices = self.p.d, self.vertices  # rec holds these, never self: no cycle keeps it
-        if vertex_lattice:
-            basis = self.lattice_rows
-        else:
-            basis = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
-        eps = 1 if interior_only else 0
+        identity = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
+        basis = self.lattice_rows if vertex_lattice else identity
         pivots = [basis[t][t] for t in range(d + 1)]  # pivots[0] is 1: every vertex has x0 = 1
         # the nonzero entries above each pivot, by column; a row's lattice
         # coordinate is stored only when a later column reads it
@@ -209,8 +203,7 @@ class Instance:
             if nodes > cap:
                 raise _refusal(vertices, k, cap)
             low, high = sums[0]
-            floor = eps if t == d else 0
-            lo, hi = floor - min(low), min(high) - floor
+            lo, hi = -min(low), min(high)
             step, offset, store = pivots[t], 0, stored[t]
             if step != 1:  # a unit pivot has nothing above it and admits every residue
                 offset = sum(coords[i] * b for i, b in above[t])
@@ -236,10 +229,7 @@ class Instance:
         yield from rec(1, start, (k,))
         return Slice(tuple(fibers), pivots[d], nodes)
 
-    def fibers(
-        self, k: int, interior_only: bool = False, vertex_lattice: bool = False,
-        budget: int | None = None,
-    ):
+    def fibers(self, k: int, vertex_lattice: bool = False, budget: int | None = None):
         """Yield the fibers of the degree-k slice in scan order; return the Slice.
 
         The one reader of the memo.  A hit whose scan visited no more
@@ -248,11 +238,11 @@ class Instance:
         it is kept once read to its end: one left early, at a gap or at
         the budget, leaves no entry.
         """
-        key = (k, interior_only, vertex_lattice)
+        key = (k, vertex_lattice)
         cap = resolve_budget(budget)
         memo = self._slices.get(key)
         if memo is None or memo.nodes > cap:
-            memo = self._slices[key] = yield from self.stream(k, interior_only, vertex_lattice, cap)
+            memo = self._slices[key] = yield from self.stream(k, vertex_lattice, cap)
         else:
             yield from memo.fibers
         return memo
@@ -275,22 +265,31 @@ def enumerate_points(
 ) -> Slice:
     """The degree-k dilation slice as its fibers, in lexicographic order.
 
-    interior_only keeps only points with strictly positive slack on every
-    facet.  vertex_lattice keeps only points of the lattice the vertices
-    span, and the scan visits no others: it steps through residue classes
-    of the Hermite form of the vertex columns.  The budget caps the nodes
-    the scan visits.  No sort runs: the scan fixes coordinates left to
-    right over ascending ranges.  This is `instance(p).fibers` read to
-    its end, so it reads and fills that memo by the same rule.
+    vertex_lattice keeps only points of the lattice the vertices span, and
+    the scan visits no others: it steps through residue classes of the
+    Hermite form of the vertex columns.  interior_only keeps the points of
+    strictly positive slack on every facet: each facet normal has last
+    entry +-1, so they are the closed slice's fibers less their two ends,
+    with its nodes, and are not taken on the vertex lattice.  The budget
+    caps the nodes the scan visits.  No sort runs: the scan fixes
+    coordinates left to right over ascending ranges.  This is
+    `instance(p).fibers` read to its end, so it reads and fills that memo
+    by the same rule.
     """
     if frame != MOMENT:
         raise ValueError(f"unknown frame {frame!r}")
-    stream = instance(p).fibers(k, interior_only, vertex_lattice, budget)
-    while True:
-        try:
+    if interior_only and vertex_lattice:
+        raise InvalidParameters("interior slices are taken in the full lattice only")
+    stream = instance(p).fibers(k, vertex_lattice, budget)
+    try:
+        while True:
             next(stream)
-        except StopIteration as end:
-            return end.value
+    except StopIteration as end:
+        closed = end.value
+    if not interior_only:
+        return closed
+    inner = tuple((head, a + 1, b - 1) for head, a, b in closed.fibers if b - a > 1)
+    return Slice(inner, 1, closed.nodes)
 
 
 def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:
@@ -337,11 +336,11 @@ def h_star(p: CycloParams, *, budget: int | None = None) -> HStarVector:
     h*_{d-j} t^(j+1) / (1-t)^(d+1) (Ehrhart-Macdonald reciprocity; Beck &
     Robins, Computing the Continuous Discretely, ch. 4), so the other
     entries come from the interior counts Li(1..floor(d/2)), Li(0) = 0:
-    h*_{d-j} = sum over i <= j+1 of (-1)^i C(d+1, i) Li(j+1-i).  No slice
-    of degree above ceil(d/2) is enumerated.  The entries sum to the
-    normalized volume, which `_pulled_volume` computes a second way.  A
-    negative entry, a leading entry other than 1 or a volume mismatch
-    can only come from a broken enumeration, so each raises.
+    h*_{d-j} = sum over i <= j+1 of (-1)^i C(d+1, i) Li(j+1-i).  Every
+    count reads a slice of degree 0..ceil(d/2), each scanned once.  The
+    entries sum to the normalized volume, which `_pulled_volume` computes
+    a second way.  A negative entry, a leading entry other than 1 or a
+    volume mismatch can only come from a broken enumeration, so each raises.
     """
     d = p.d
     m = (d + 1) // 2

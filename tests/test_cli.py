@@ -657,19 +657,33 @@ def _main_output(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def test_scan_pool_is_sized_by_its_inputs(monkeypatch):
-    # the fork start method forks every worker at the first submit, so the
-    # pool must not ask for more processes than tasks or cores; `cmd_scan`
-    # imports the executor only when it starts one, so patch it at its source
+class ClosedAfter(io.StringIO):
+    """A stdout whose reader goes away after `lines` lines."""
+
+    def __init__(self, lines: int):
+        super().__init__()
+        self.lines = lines
+
+    def write(self, text):
+        if self.getvalue().count("\n") >= self.lines:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """A serial stand-in for the process pool; logs each pool's size and map.
+
+    `cmd_scan` imports the executor only when it starts one, so it is
+    patched at its source.
+    """
     import concurrent.futures
 
-    import cyclotoric.cli as cli_mod
-
-    sizes = []
+    log = {"sizes": [], "maps": []}
 
     class StandIn:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -678,16 +692,64 @@ def test_scan_pool_is_sized_by_its_inputs(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            log["maps"].append(fn(task) for task in tasks)  # lazy, as an executor's map
+            return log["maps"][-1]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+    return log
+
+
+def test_scan_pool_is_sized_by_its_inputs(monkeypatch, stand_in_pool):
+    # the fork start method forks every worker at the first submit, so the
+    # pool must not ask for more processes than tasks or cores
+    import cyclotoric.cli as cli_mod
+
     argv = ["scan", "--d", "1", "--n", "2", "--max-gap", "2", "--ring", "kq"]
     for cores, expected in ((4, [2]), (1, [])):
-        sizes.clear()
+        stand_in_pool["sizes"].clear()
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cores)
         code, out = _main_output(argv + ["--threads", "100000"])
         assert code == 0 and len(out.splitlines()) == 2
-        assert sizes == expected, cores
+        assert stand_in_pool["sizes"] == expected, cores
+
+
+def test_a_failed_output_closes_the_pool_map(monkeypatch, stand_in_pool):
+    # a write that raises ends the scan: the pool's map is closed before the
+    # pool shuts down, which cancels the instances still queued
+    import inspect
+
+    import cyclotoric.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+    argv = ["scan", "--d", "2..2", "--n", "3..4", "--max-gap", "2", "--threads", "2"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(ClosedAfter(1)), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and err.getvalue().startswith("io error: ")
+    assert stand_in_pool["sizes"] == [2]
+    assert [inspect.getgeneratorstate(m) for m in stand_in_pool["maps"]] == ["GEN_CLOSED"]
+
+
+def test_points_text_is_built_as_it_is_printed(monkeypatch):
+    # text mode builds no point list: a reader that goes away after 3 of the
+    # 7,651 lines ends the command with exit 2 once a 4th point is built
+    import cyclotoric.lattice as lattice_mod
+
+    built = []
+    points = lattice_mod.Slice.__iter__
+
+    def counting(self):
+        for z in points(self):
+            built.append(z)
+            yield z
+
+    monkeypatch.setattr(lattice_mod.Slice, "__iter__", counting)
+    argv = ["points", "--d", "2", "--tau", "0,1,3", "--k", "50"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(ClosedAfter(3)), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and err.getvalue().startswith("io error: ")
+    assert len(built) == 4
 
 
 @pytest.mark.parametrize("output", ["--out", "--findings", "--csv"])

@@ -96,7 +96,7 @@ class TestEnumeratePoints:
 
         p = translate(p, -p.tau[0])  # boxes grow like tau^d
         for lattice, interior, k in iproduct((False, True), (False, True), (1, 2, 3)):
-            if box_volume(p, k) > BOX_CAP:
+            if box_volume(p, k) > BOX_CAP or lattice and interior:
                 continue
             pts = list(enumerate_points(p, k, interior, budget=LIFTED, vertex_lattice=lattice))
             assert all(a < b for a, b in zip(pts, pts[1:])), (p, lattice, interior, k)
@@ -112,14 +112,14 @@ class TestEnumeratePoints:
         p = translate(p, -p.tau[0])
         q = translate(p, 1)
         for k in (1, 2, 3):
-            for interior in (False, True):
-                for lattice in (False, True):
-                    kw = dict(vertex_lattice=lattice, budget=LIFTED)
-                    here = enumerate_points(p, k, interior, **kw)
-                    there = enumerate_points(q, k, interior, **kw)
-                    where = (p, k, interior, lattice)
-                    assert sorted(shifted(z, 1) for z in here) == list(there), where
-                    assert here.nodes == there.nodes, where
+            # interior slices are taken in the full lattice only
+            for interior, lattice in ((False, False), (False, True), (True, False)):
+                kw = dict(vertex_lattice=lattice, budget=LIFTED)
+                here = enumerate_points(p, k, interior, **kw)
+                there = enumerate_points(q, k, interior, **kw)
+                where = (p, k, interior, lattice)
+                assert sorted(shifted(z, 1) for z in here) == list(there), where
+                assert here.nodes == there.nodes, where
 
     @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
     @settings(max_examples=25, deadline=None)
@@ -131,7 +131,7 @@ class TestEnumeratePoints:
         p = translate(p, -p.tau[0])  # boxes grow like tau^d
         ctx = lattice_mod.instance(p)
         for lattice, interior, k in iproduct((False, True), (False, True), (0, 1, 2, 3)):
-            if box_volume(p, k) > BOX_CAP:
+            if box_volume(p, k) > BOX_CAP or lattice and interior:
                 continue
             pts = enumerate_points(p, k, interior, budget=LIFTED, vertex_lattice=lattice)
             where = (p, lattice, interior, k)
@@ -160,18 +160,25 @@ class TestEnumeratePoints:
             assert sorted(shifted(z, 3) for z in here) == list(there)
             assert here.nodes == there.nodes
 
-    @given(cyclo_params(max_d=3, max_n=5, max_gap=3))
+    @given(cyclo_params(max_d=4, max_n=6, max_gap=3))
     @settings(max_examples=30, deadline=None)
+    @example(CycloParams(4, (0, 1, 2, 3, 4)))
     def test_interior_boundary_partition(self, p):
-        full = set(enumerate_points(p, 1))
-        interior = set(enumerate_points(p, 1, True))
-        assert interior <= full
-        from cyclotoric.faces import facet_hyperplane, facets
-
+        # the interior slice is the closed one filtered by strictly positive
+        # slack on every facet, read off the same scan: equal nodes
+        p = translate(p, -p.tau[0])  # boxes grow like tau^d
         hps = [facet_hyperplane(w, p) for w in facets(p)]
-        for z in full:
-            strict = all(dot(h, z) > 0 for h in hps)
-            assert strict == (z in interior)
+        for k in range(4):
+            if box_volume(p, k) > BOX_CAP:
+                continue
+            full = enumerate_points(p, k, budget=LIFTED)
+            interior = enumerate_points(p, k, True, budget=LIFTED)
+            strict = [z for z in full if all(dot(h, z) > 0 for h in hps)]
+            assert list(interior) == strict, (p, k)
+            assert interior.nodes == full.nodes, (p, k)
+        # on the vertex lattice a fiber steps by the pivot, so no interior slice is derived
+        with pytest.raises(InvalidParameters, match="full lattice"):
+            enumerate_points(p, 1, True, vertex_lattice=True)
 
     def test_vertices_always_enumerated(self):
         from cyclotoric.core import vertex
@@ -222,18 +229,14 @@ class TestVertexLatticeScan:
         from cyclotoric.kq import generator_lattice
 
         lat = generator_lattice(p)
-        hps = [facet_hyperplane(w, p) for w in facets(p)]
         for k in (1, 2):
             if max_box is not None and box_volume(p, k) > max_box:
                 continue
             full = enumerate_points(p, k, budget=budget)
-            members = [z for z in full if lat.contains(z)]
-            strict = [z for z in members if all(dot(h, z) > 0 for h in hps)]
-            for interior, expected in ((False, members), (True, strict)):
-                got = enumerate_points(p, k, interior, budget=budget, vertex_lattice=True)
-                assert list(got) == expected, (p, k, interior)
-                # at every level it tries a subset of the full scan's values
-                assert got.nodes <= full.nodes, (p, k, interior)
+            got = enumerate_points(p, k, budget=budget, vertex_lattice=True)
+            assert list(got) == [z for z in full if lat.contains(z)], (p, k)
+            # at every level it tries a subset of the full scan's values
+            assert got.nodes <= full.nodes, (p, k)
 
     @given(cyclo_params(max_d=3, max_n=6, max_gap=3))
     @settings(max_examples=25, deadline=None)
@@ -364,10 +367,9 @@ class TestHStar:
             return
         lattice_mod.instance.cache_clear()
         assert h_star(p, budget=budget).h == expected
-        asked = lattice_mod.instance(p)._slices
-        full = max(k for k, interior, _ in asked if not interior)
-        inner = max((k for k, interior, _ in asked if interior), default=0)
-        assert (full, inner) == ((p.d + 1) // 2, p.d // 2), sorted(asked)
+        # the interior counts read the closed slices: none is scanned twice
+        asked = sorted(lattice_mod.instance(p)._slices)
+        assert asked == [(k, False) for k in range((p.d + 1) // 2 + 1)], asked
 
     def test_a_count_off_the_volume_raises(self, monkeypatch):
         # one interior point too many keeps h*_0 = 1 and h* >= 0, so only the
@@ -415,9 +417,9 @@ class TestInstance:
         calls = Counter()
         original = lattice_mod.Instance.stream
 
-        def counting(ctx, k, interior_only, vertex_lattice, cap):
-            calls[(k, interior_only, vertex_lattice)] += 1
-            return original(ctx, k, interior_only, vertex_lattice, cap)
+        def counting(ctx, k, vertex_lattice, cap):
+            calls[(k, vertex_lattice)] += 1
+            return original(ctx, k, vertex_lattice, cap)
 
         # the scan primitive: whole slices and streamed ones both start here
         monkeypatch.setattr(lattice_mod.Instance, "stream", counting)
@@ -426,22 +428,52 @@ class TestInstance:
         assert p.n >= p.d + 3 and kq_mod.divisibility_test(p) is None
         budget = 10**5  # not the default: each slice request carries it to the node check
         kp_report = kp_mod.classify_kp(p, oracle=True, budget=budget)
-        assert calls[(1, False, False)] == 1 and max(calls.values()) == 1
+        assert calls[(1, False)] == 1 and max(calls.values()) == 1
         # stages with no budget of their own read the same context
         kp_mod.interior_generator_candidate(p)
         kq_mod.generator_lattice(p)
         report = kq_mod.classify_kq(p, use_bruteforce=True, budget=budget)
         assert report.evidence["kind"] == "bruteforce_witness"
-        assert calls[(1, False, True)] == 1 and calls[(1, False, False)] == 1
+        assert calls[(1, True)] == 1 and calls[(1, False)] == 1
         assert max(calls.values()) == 1
         # whole-slice reads after them return the memo entries themselves
         memo = lattice_mod.instance(p)._slices
-        for (k, interior, lattice), entry in list(memo.items()):
-            got = enumerate_points(p, k, interior, budget=budget, vertex_lattice=lattice)
-            assert got is entry, (k, interior, lattice)
-        assert interior_count(p, 1, budget=budget) == len(memo[(1, True, False)])
+        for (k, lattice), entry in list(memo.items()):
+            got = enumerate_points(p, k, budget=budget, vertex_lattice=lattice)
+            assert got is entry, (k, lattice)
+        # and interior reads are taken from them, with no scan of their own
+        assert interior_count(p, 1, budget=budget) == kp_report.interior_k1
         assert h_star(p, budget=budget) == kp_report.h_star
         assert max(calls.values()) == 1
+
+    @pytest.mark.parametrize(
+        "family, scans",
+        [
+            (("--d", "2..3", "--n", "d+1..d+2", "--max-gap", "2", "--ring", "both"), 66),
+            (("--d", "3..4", "--n", "d+3..d+4", "--max-gap", "3", "--ring", "kq"), 171),
+        ],
+    )
+    def test_each_scan_family_scans_each_slice_once(self, monkeypatch, tmp_path, family, scans):
+        # the benchmark's scan families, serial: one stream per (instance, degree,
+        # lattice), pinned, so a stage that scans a slice again fails here
+        import contextlib
+        import io
+
+        from cyclotoric.cli import main
+
+        calls = Counter()
+        original = lattice_mod.Instance.stream
+
+        def counting(ctx, k, vertex_lattice, cap):
+            calls[(ctx.p, k, vertex_lattice)] += 1
+            return original(ctx, k, vertex_lattice, cap)
+
+        monkeypatch.setattr(lattice_mod.Instance, "stream", counting)
+        lattice_mod.instance.cache_clear()
+        argv = ["scan", *family, "--oracle", "--threads", "1", "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        assert (sum(calls.values()), len(calls)) == (scans, scans)
 
     def test_memo_never_outlives_its_budget(self):
         # one rule for every read: an entry is read back only within the
@@ -451,11 +483,12 @@ class TestInstance:
         assert h_star(p, budget=100).h == (1, 4, 1)
         assert interior_count(p, 1, budget=100) == 1
         ctx = lattice_mod.instance(p)
-        memo, inner = ctx._slices[(1, False, False)], ctx._slices[(1, True, False)]
-        assert (memo.nodes, inner.nodes) == (5, 5)  # each budget below refuses by one node
+        memo = ctx._slices[(1, False)]
+        assert memo.nodes == 5  # each budget below refuses by one node
+        assert enumerate_points(p, 1, True, budget=5).nodes == 5
         with pytest.raises(BudgetExceeded):
             h_star(p, budget=4)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as inner:
             interior_count(p, 1, budget=4)
         # a refused memo hit says what the scan primitive says under that
         # budget, whether the slice is read whole or streamed
@@ -464,10 +497,11 @@ class TestInstance:
         with pytest.raises(BudgetExceeded) as streamed:
             list(ctx.fibers(1, budget=4))
         with pytest.raises(BudgetExceeded) as fresh:
-            list(ctx.stream(1, False, False, 4))
-        assert str(whole.value) == str(streamed.value) == str(fresh.value)
+            list(ctx.stream(1, False, 4))
+        # an interior read refuses where the closed scan does
+        assert str(whole.value) == str(streamed.value) == str(fresh.value) == str(inner.value)
         # a refusal leaves the entry, and a budget that admits it reads it back
-        assert ctx._slices[(1, False, False)] is memo
+        assert ctx._slices[(1, False)] is memo
         assert enumerate_points(p, 1, budget=5) is memo
         assert list(ctx.fibers(1, budget=5)) == list(memo.fibers)
 
@@ -475,7 +509,7 @@ class TestInstance:
         # only a stream read to its end is kept: one stopped at a gap or by
         # the budget is not, and a later request scans afresh
         p = build_params(3, [0, 1, 3, 5, 8, 11])
-        key = (1, False, True)
+        key = (1, True)
         # a whole read is kept, so it is taken on a context of its own
         lattice_mod.instance.cache_clear()
         whole = enumerate_points(p, 1, vertex_lattice=True)
