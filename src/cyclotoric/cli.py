@@ -1,8 +1,10 @@
 """Command-line interface: classify one instance, scan families, print witnesses.
 
-Scans classify the gap tuples up to a cap, one per canonical form, and write
-each instance's JSON record, findings and CSV row as it finishes, in canonical
-order whatever the worker count: runs are byte-identical, and a scan stopped or
+Every one-instance command prints through one path, `cmd_print`: its builder
+returns the payload that --json prints and the text lines otherwise.  Scans
+classify the gap tuples up to a cap, one per canonical form, and write each
+instance's JSON record, findings and CSV row as it finishes, in canonical order
+whatever the worker count: runs are byte-identical, and a scan stopped or
 killed partway leaves whole lines up to the stop and no summary.  Findings
 (theorem/oracle disagreements, failed witness verifications, unknown or
 complete-intersection instances) are data: they never change the exit code.
@@ -45,9 +47,7 @@ def derive_findings(
     p: CycloParams, kp: RingReportKP | None, kq: RingReportKQ | None
 ) -> list[dict]:
     """Collect reportable findings from the per-ring reports of one instance, as records."""
-    found = []  # (kind, details) pairs
-    if kp is not None:
-        found += [(kind, f"{kind}: {detail}") for kind, detail in kp.notes]
+    found = [] if kp is None else kp.findings  # (kind, details) pairs
     if kq is not None:
         if kq.evidence["kind"] == "bruteforce_exhaustive":
             found.append((
@@ -136,21 +136,18 @@ CLASSIFY_TEXT = (
 ORACLE_TEXT = "{status} generator={generator} h_star_palindromic={h_star_palindromic}"
 
 
-def cmd_classify(args) -> int:
-    p = _params(args)
-    record = _classify_instance(p, *_options(args))
-    if args.json:
-        print(json.dumps(record))
-        return 0
-    if record["kp"] is not None:
-        oracle = record["kp"]["gorenstein_oracle"]
-        record["kp"]["oracle"] = "none" if oracle is None else ORACLE_TEXT.format_map(oracle)
+def _show_classify(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
+    record = _classify_instance(p, *_options(args))  # starts with "schema", as --json prints it
+    kp = record["kp"]
+    # the text reads a copy of each ring's report, the K[P] one with its oracle as text
+    shown = {"kp": kp and {**kp, "oracle": "none" if kp["gorenstein_oracle"] is None
+                           else ORACLE_TEXT.format_map(kp["gorenstein_oracle"])},
+             "kq": record["kq"]}
     lines = [f"d={p.d} n={p.n} tau={','.join(map(str, p.tau))} gaps={','.join(map(str, p.gaps))}"]
-    lines += [text.format_map(record[ring]) for ring, text, shown_if in CLASSIFY_TEXT
-              if record[ring] is not None and (shown_if is None or record[ring][shown_if])]
+    lines += [text.format_map(shown[ring]) for ring, text, shown_if in CLASSIFY_TEXT
+              if shown[ring] is not None and (shown_if is None or shown[ring][shown_if])]
     findings = [f"finding[{f['kind']}]: {f['details']}" for f in record["findings"]]
-    print("\n".join(lines + (findings or ["findings: none"])))
-    return 0
+    return record, lines + (findings or ["findings: none"])
 
 
 def _range_token(tok: str, d: int) -> int:
@@ -271,50 +268,6 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_witness_r1(args) -> int:
-    p = _params(args)
-    facet = tuple(sorted(_int_list(args.facet, "facet")))
-    # a bad facet or apex raises before any line is printed
-    idx, rows = r1_certificate(facet, p, None if args.apex is None else [args.apex])
-    lines = [f"facet {facet}: lattice slice index = {idx}"]
-    all_ok = idx == 1
-    for k, x, value, coeffs in rows:
-        in_cone = all(c >= 0 for c in coeffs)
-        ok = value == 1 and in_cone
-        all_ok = all_ok and ok
-        lines.append(
-            f"apex {k}: x={x} sigma={value} in_cone={str(in_cone).lower()} "
-            f"coefficients={[str(c) for c in coeffs]} {'PASS' if ok else 'FAIL'}"
-        )
-    lines.append("PASS" if all_ok else "FAIL")
-    print("\n".join(lines))
-    return 0
-
-
-def cmd_witness_gorenstein(args) -> int:
-    p = _params(args)
-    rep = gorenstein_witnesses(p)  # raises NoWitnessExpected on the Gorenstein family
-    oracle = gorenstein_oracle(p, budget=args.budget)
-    if rep.oracle_needed:
-        print("no constructive witness pair for this family; exact route adjudicates")
-        print(f"oracle: {oracle.status} generator={oracle.generator}")
-        return 0
-    print(
-        f"sub-simplex tau={','.join(map(str, rep.params_used.tau))} "
-        f"subset={rep.subset} reversed={str(rep.reversed_params).lower()}"
-    )
-    for pt, slack in zip(rep.points, rep.slacks):
-        ok = all(s > 0 for s in slack)
-        print(
-            f"point {pt}: slacks={list(slack)} "
-            f"{'strictly interior PASS' if ok else 'not interior FAIL'}"
-        )
-    agree = oracle.status == "not_gorenstein"
-    print(f"oracle: {oracle.status} {'PASS' if agree else 'FAIL'}")
-    print("PASS" if rep.verified and agree else "FAIL")
-    return 0
-
-
 def _show_facets(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     sets = facets(p)
     payload = {"d": p.d, "n": p.n, "facets": [list(w) for w in sets]}
@@ -354,8 +307,38 @@ def _show_points(p: CycloParams, args) -> tuple[dict, Iterable[str]]:
     return {"k": args.k, "points": pts}, (" ".join(map(str, z)) for z in pts)
 
 
+def _show_r1(p: CycloParams, args) -> tuple[None, list[str]]:
+    facet = tuple(sorted(_int_list(args.facet, "facet")))
+    # a bad facet or apex raises before any line is built, so none is printed
+    idx, rows = r1_certificate(facet, p, None if args.apex is None else [args.apex])
+    passed = [value == 1 and in_cone for _, _, value, _, in_cone in rows]
+    lines = [f"facet {facet}: lattice slice index = {idx}"]
+    lines += [f"apex {k}: x={x} sigma={value} in_cone={str(in_cone).lower()} "
+              f"coefficients={[str(c) for c in coeffs]} {'PASS' if ok else 'FAIL'}"
+              for (k, x, value, coeffs, in_cone), ok in zip(rows, passed)]
+    return None, lines + ["PASS" if idx == 1 and all(passed) else "FAIL"]
+
+
+def _show_gorenstein(p: CycloParams, args) -> tuple[None, list[str]]:
+    rep = gorenstein_witnesses(p)  # raises NoWitnessExpected on the Gorenstein family
+    oracle = gorenstein_oracle(p, budget=args.budget)
+    if rep.oracle_needed:
+        return None, ["no constructive witness pair for this family; exact route adjudicates",
+                      f"oracle: {oracle.status} generator={oracle.generator}"]
+    agree = oracle.status == "not_gorenstein"
+    return None, [
+        f"sub-simplex tau={','.join(map(str, rep.params_used.tau))} "
+        f"subset={rep.subset} reversed={str(rep.reversed_params).lower()}",
+        *(f"point {pt}: slacks={list(slack)} "
+          f"{'strictly interior PASS' if ok else 'not interior FAIL'}"
+          for pt, slack, ok in zip(rep.points, rep.slacks, rep.interior)),
+        f"oracle: {oracle.status} {'PASS' if agree else 'FAIL'}",
+        "PASS" if rep.verified and agree else "FAIL",
+    ]
+
+
 def cmd_print(args) -> int:
-    """The printer commands: one JSON object with --json, else the text lines."""
+    """Every one-instance command: one JSON object with --json, else the text lines."""
     payload, lines = args.show(_params(args), args)
     if args.json:
         print(json.dumps({"schema": SCHEMA_VERSION, **payload}, default=list))
@@ -411,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(subs, "classify", "classify one instance", (
         *INSTANCE, RING, ("--oracle", {**FLAG, "help": "run the exact cross-check routes"}),
         MAX_DEGREE, BUDGET, JSON,
-    ), func=cmd_classify)
+    ), func=cmd_print, show=_show_classify)
     _command(subs, "scan", "scan a parameter family, one JSON record per line", (
         ("--d", {"required": True, "help": "dimension range, e.g. 2..4"}),
         ("--n", {"required": True, "help": "vertex-count range, e.g. 3..6 or d+1..d+2"}),
@@ -427,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     _command(wsubs, "r1", "value-1 cone point for a facet", (
         *INSTANCE, ("--facet", {"required": True, "help": "comma-separated facet indices"}),
         ("--apex", {"type": int}),
-    ), func=cmd_witness_r1)
+    ), func=cmd_print, show=_show_r1, json=False)  # the witness commands print text only
     _command(wsubs, "gorenstein", "interior point pair for non-Gorenstein cases",
-             (*INSTANCE, BUDGET), func=cmd_witness_gorenstein)
+             (*INSTANCE, BUDGET), func=cmd_print, show=_show_gorenstein, json=False)
     for name, show, options in PRINTERS:
         _command(subs, name, f"print {name} data", (*INSTANCE, *options, JSON),
                  func=cmd_print, show=show)

@@ -30,7 +30,7 @@ from .intlinalg import dot, mat_vec, solve_exact, vec_sub
 from .lattice import HStarVector, Instance, enumerate_points, h_star, instance
 
 
-def normality_bound(d: int) -> int:
+def normality_bound(d: int, max_degree: int | None = None) -> int:
     """Degree up to which a normality scan is exhaustive in dimension d: max(1, d-1).
 
     A lattice polytope of dimension d has kP = (k-1)P + P on lattice
@@ -38,8 +38,10 @@ def normality_bound(d: int) -> int:
     Math. 485 (1997), Thm 1.3.3), so its points of degree d and above
     add no generator.  Inside the vertex lattice the same holds once
     degree 1 has no gap: the vertices are then its only points in P.
+    A `max_degree` below the bound lowers it; one above scans no further.
     """
-    return max(1, d - 1)
+    bound = max(1, d - 1)
+    return bound if max_degree is None else min(max_degree, bound)
 
 
 def first_gap(
@@ -101,12 +103,10 @@ def is_normal_kp(
     exhaustive, so the slice of degree d, the largest one a default
     check could need, is never enumerated.  The generators are the
     fibers of degree 1 in slice order, which the walk from the last
-    winner follows at degree 1 itself.  A `max_degree` above the bound
-    scans no further, since the degrees past it add no generator.
+    winner follows at degree 1 itself.
     """
-    bound = normality_bound(p.d) if max_degree is None else min(max_degree, normality_bound(p.d))
     gens = enumerate_points(p, 1, budget=budget).fibers
-    witness = first_gap(instance(p), gens, bound, budget=budget)
+    witness = first_gap(instance(p), gens, normality_bound(p.d, max_degree), budget=budget)
     return witness is None, witness
 
 
@@ -115,10 +115,11 @@ def r1_certificate(w, p: CycloParams, apexes=None) -> tuple[int, list[tuple]]:
 
     The index is that of the facet's chain basis in the facet plane's
     integer lattice.  Each row is (apex, value-1 point, its support value,
-    its cone coefficients over the facet and the apex), for every apex off
-    the facet by default.  The facet passes when the index is 1 and every
-    row has value 1 and no negative coefficient.  A set that is not a
-    facet raises NotAFacet before any apex is checked.
+    its cone coefficients over the facet and the apex, whether none of
+    them is negative), for every apex off the facet by default.  The facet
+    passes when the index is 1 and every row has value 1 and lies in the
+    cone.  A set that is not a facet raises NotAFacet before any apex is
+    checked.
     """
     sf = support_form(w, p)
     if apexes is None:
@@ -127,7 +128,8 @@ def r1_certificate(w, p: CycloParams, apexes=None) -> tuple[int, list[tuple]]:
     rows = []
     for k in apexes:
         x = r1_witness(w, k, p)  # raises on an apex on the facet or outside 1..n
-        rows.append((k, x, dot(sf, x), cone_coefficients(x, sorted(w + (k,)), p)))
+        coeffs = cone_coefficients(x, sorted(w + (k,)), p)
+        rows.append((k, x, dot(sf, x), coeffs, all(c >= 0 for c in coeffs)))
     return index, rows
 
 
@@ -143,10 +145,10 @@ def r1_issues(p: CycloParams) -> list[str]:
         idx, rows = r1_certificate(w, p)
         if idx != 1:
             issues.append(f"facet {w}: lattice slice index {idx} != 1")
-        for k, _, val, coeffs in rows:
+        for k, _, val, _, in_cone in rows:
             if val != 1:
                 issues.append(f"facet {w} apex {k}: support value {val} != 1")
-            if any(c < 0 for c in coeffs):
+            if not in_cone:
                 issues.append(f"facet {w} apex {k}: point leaves the cone")
     return issues
 
@@ -222,7 +224,8 @@ class WitnessReport:
     subset gives which original parameters the sub-simplex uses;
     reversed_params records whether the orientation was flipped first.
     Families settled only by the exact route return no points and set
-    oracle_needed.
+    oracle_needed.  interior holds, per point, whether every slack is
+    positive, and the report is verified when every point is interior.
     """
 
     points: tuple[tuple[int, ...], ...]
@@ -231,11 +234,15 @@ class WitnessReport:
     reversed_params: bool
     oracle_needed: bool
     slacks: tuple[tuple[int, ...], ...]
-    verified: bool
+    interior: tuple[bool, ...]
+
+    @property
+    def verified(self) -> bool:
+        return all(self.interior)
 
 
 def _oracle_needed(p: CycloParams, subset) -> WitnessReport:
-    return WitnessReport((), tuple(subset), p, False, True, (), True)
+    return WitnessReport((), tuple(subset), p, False, True, (), ())
 
 
 def _verified_report(pp: CycloParams, pts, subset, rev: bool) -> WitnessReport:
@@ -245,8 +252,8 @@ def _verified_report(pp: CycloParams, pts, subset, rev: bool) -> WitnessReport:
     inverse = inverse_transform_factor(pp)
     moment = [mat_vec(inverse, pt) for pt in pts]
     slacks = tuple(tuple(dot(a, z) for a in facet_normals(pp)[::-1]) for z in moment)
-    ok = all(s > 0 for row in slacks for s in row)
-    return WitnessReport(tuple(pts), tuple(subset), pp, rev, False, slacks, ok)
+    interior = tuple(all(s > 0 for s in row) for row in slacks)
+    return WitnessReport(tuple(pts), tuple(subset), pp, rev, False, slacks, interior)
 
 
 def _sub_params(p: CycloParams, idx) -> CycloParams:
@@ -343,8 +350,13 @@ class RingReportKP:
     interior_k1: int
 
     @property
+    def findings(self) -> list[tuple[str, str]]:
+        """(kind, "kind: detail") per note: the text its finding and discrepancy carry."""
+        return [(kind, f"{kind}: {detail}") for kind, detail in self.notes]
+
+    @property
     def discrepancy(self) -> str | None:
-        return "; ".join(f"{kind}: {detail}" for kind, detail in self.notes) or None
+        return "; ".join(text for _, text in self.findings) or None
 
     def to_dict(self) -> dict:
         return {

@@ -152,10 +152,10 @@ def is_normal_kq_bruteforce(
     at the first gap, and the budget caps the nodes visited until then.
     A `max_degree` above the bound scans no further.
     """
-    bound = normality_bound(p.d) if max_degree is None else min(max_degree, normality_bound(p.d))
     ctx = instance(p)
     try:
         gens = tuple((v[:-1], v[-1], v[-1]) for v in ctx.vertices)
+        bound = normality_bound(p.d, max_degree)
         witness = first_gap(ctx, gens, bound, vertex_lattice=True, budget=budget)
     except BudgetExceeded:
         return "inconclusive", None

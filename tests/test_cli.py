@@ -481,6 +481,40 @@ class TestWitnessCommands:
         assert res.returncode == 0
         assert "exact route adjudicates" in res.stdout
 
+    @pytest.mark.parametrize(
+        "argv,lines",
+        [
+            (["r1", "--d", "2", "--tau", "0,1,2,3", "--facet", "2,3"], [
+                "facet (2, 3): lattice slice index = 1",
+                "apex 1: x=(1, 1, 2) sigma=1 in_cone=true coefficients=['1/2', '0', '1/2'] PASS",
+                "apex 4: x=(1, 2, 5) sigma=1 in_cone=true coefficients=['1/2', '0', '1/2'] PASS",
+                "PASS",
+            ]),
+            (["gorenstein", "--d", "2", "--tau", "0,2,4"], [
+                "sub-simplex tau=0,2,4 subset=(1, 2, 3) reversed=false",
+                "point (1, 1, 1): slacks=[5, 1, 1] strictly interior PASS",
+                "point (1, 2, 2): slacks=[2, 2, 2] strictly interior PASS",
+                "oracle: not_gorenstein PASS",
+                "PASS",
+            ]),
+            (["gorenstein", "--d", "4", "--tau", "0,1,2,3,4,6,9"], [
+                "sub-simplex tau=0,1,2,3,4 subset=(1, 2, 3, 4, 5) reversed=false",
+                "point (1, 2, 3, 3, 1): slacks=[1, 2, 1, 2, 1] strictly interior PASS",
+                "point (1, 2, 3, 3, 2): slacks=[2, 1, 2, 1, 2] strictly interior PASS",
+                "oracle: not_gorenstein PASS",
+                "PASS",
+            ]),
+            (["gorenstein", "--d", "2", "--tau", "0,1,2"], [
+                "no constructive witness pair for this family; exact route adjudicates",
+                "oracle: gorenstein generator=(2, 2, 3)",
+            ]),
+        ],
+    )
+    def test_witness_text_lines(self, argv, lines):
+        # two apexes; a pair in the simplex itself and in a sub-simplex of d = 4;
+        # a family only the exact route settles
+        assert _main_output(["witness", *argv]) == (0, "\n".join(lines) + "\n")
+
 
 class TestPrinters:
     def test_facets(self):
