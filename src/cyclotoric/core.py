@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .intlinalg import mat_mul, unit_lower_inverse
+from .intlinalg import dot, mat_mul
 
 
 class InvalidParameters(ValueError):
@@ -61,7 +61,6 @@ def vertex(p: CycloParams, i: int) -> tuple[int, ...]:
     return tuple(t**r for r in range(p.d + 1))
 
 
-@lru_cache(maxsize=4096)
 def moment_matrix(p: CycloParams) -> tuple[tuple[int, ...], ...]:
     """Rows of the (d+1) x n matrix whose column i is the homogenised vertex i."""
     return tuple(tuple(t**r for t in p.tau) for r in range(p.d + 1))
@@ -125,9 +124,17 @@ def transform(p: CycloParams) -> TransformedMatrix:
     return TransformedMatrix(entries, factor)
 
 
-@lru_cache(maxsize=4096)
-def inverse_transform_factor(p: CycloParams) -> tuple[tuple[int, ...], ...]:
-    return unit_lower_inverse(transform(p).unimodular_factor)
+def to_moment(p: CycloParams, z) -> tuple[int, ...]:
+    """Moment coordinates of a transformed-frame point z: the x with U.x = z.
+
+    U, the factor of `transform`, is unit lower triangular, so forward
+    substitution solves it in integers: x_i is z_i less row i's dot
+    product with x_1..x_(i-1).
+    """
+    x = []
+    for row, zi in zip(transform(p).unimodular_factor, z, strict=True):
+        x.append(zi - dot(row[: len(x)], x))
+    return tuple(x)
 
 
 def reverse_negate(p: CycloParams) -> CycloParams:

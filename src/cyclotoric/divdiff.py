@@ -26,7 +26,7 @@ from math import prod
 
 from .core import CycloParams, InvalidParameters, root_polynomial
 from .faces import facet_hyperplane
-from .intlinalg import det, dot, vec_add, vec_sub
+from .intlinalg import dot, hnf, vec_add, vec_sub
 
 
 @lru_cache(maxsize=65536)
@@ -97,17 +97,19 @@ def facet_lattice_index(w, p: CycloParams) -> int:
     (Schrijver, Theory of Linear and Integer Programming, ch. 4).  The
     facet normal is the monic root polynomial of the facet's parameters,
     so its last entry is +-1 and the minor that drops the last
-    coordinate is +-index.  A chain vector off the facet or a zero minor
-    can only come from a broken basis, so each raises.
+    coordinate is +-index.  That minor is read off its Hermite form: a
+    full-rank square integer matrix has |det| equal to the product of its
+    Hermite pivots.  A chain vector off the facet or a minor of fewer than
+    d Hermite rows can only come from a broken basis, so each raises.
     """
     basis = facet_chain_basis(w, p)
     sf = support_form(w, p)
     if any(dot(sf, v) for v in basis):
         raise ArithmeticError(f"a chain vector of facet {tuple(w)} leaves its plane")
-    index = abs(det([v[:-1] for v in basis]))
-    if index == 0:
+    rows = hnf([v[:-1] for v in basis])
+    if len(rows) < p.d:
         raise ArithmeticError(f"the chain basis of facet {tuple(w)} is degenerate")
-    return index
+    return prod(row[i] for i, row in enumerate(rows))
 
 
 def r1_witness(w, k: int, p: CycloParams) -> tuple[int, ...]:

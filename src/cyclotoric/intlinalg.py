@@ -1,8 +1,10 @@
-"""Small exact linear algebra over Z and Q.
+"""Small exact linear algebra over Z and Q: dot products, Hermite form, one rational solve.
 
-Everything works on plain Python ints (arbitrary precision) or
-fractions.Fraction and never touches floating point.  Matrices are small
-and dense throughout the package, so simple cubic algorithms win.
+The Hermite form is the package's one integer elimination: it gives the
+vertex lattice its basis, and the product of its pivots is the index of
+a lattice of full rank.  Everything works on plain Python ints
+(arbitrary precision) or fractions.Fraction and never touches floating
+point.  Matrices are small and dense, so simple cubic algorithms win.
 """
 
 from __future__ import annotations
@@ -51,32 +53,6 @@ def mat_vec(m, v) -> IntVec:
 def mat_mul(a, b):
     cols = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
-def det(m) -> int:
-    """Determinant of a square integer matrix, by fraction-free elimination."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -171,13 +147,3 @@ def lattice_contains(hnf_basis, z) -> bool:
         if q:
             x = [u - q * v for u, v in zip(x, row)]
     return not any(x)
-
-
-def unit_lower_inverse(u):
-    """Inverse of a unit lower-triangular integer matrix (again integral)."""
-    n = len(u)
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            inv[i][j] = -sum(u[i][k] * inv[k][j] for k in range(j, i))
-    return tuple(tuple(row) for row in inv)

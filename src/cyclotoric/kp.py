@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CycloParams, InvalidParameters, delta, inverse_transform_factor, reverse_negate
+from .core import CycloParams, InvalidParameters, delta, reverse_negate, to_moment
 from .divdiff import (
     cone_coefficients,
     facet_lattice_index,
@@ -26,7 +26,7 @@ from .divdiff import (
     support_form,
 )
 from .faces import facet_normals, facets
-from .intlinalg import dot, mat_vec, solve_exact, vec_sub
+from .intlinalg import dot, solve_exact, vec_sub
 from .lattice import HStarVector, Instance, enumerate_points, h_star, instance
 
 
@@ -246,11 +246,10 @@ def _oracle_needed(p: CycloParams, subset) -> WitnessReport:
 
 
 def _verified_report(pp: CycloParams, pts, subset, rev: bool) -> WitnessReport:
-    # the points are transformed-frame, and the inverse factor maps them to
-    # moment coordinates; facets run lex, so reversed, slack i is on the facet
-    # omitting vertex i.
-    inverse = inverse_transform_factor(pp)
-    moment = [mat_vec(inverse, pt) for pt in pts]
+    # the points are transformed-frame, and to_moment maps each to moment
+    # coordinates by substitution; facets run lex, so reversed, slack i is on
+    # the facet omitting vertex i.
+    moment = [to_moment(pp, pt) for pt in pts]
     slacks = tuple(tuple(dot(a, z) for a in facet_normals(pp)[::-1]) for z in moment)
     interior = tuple(all(s > 0 for s in row) for row in slacks)
     return WitnessReport(tuple(pts), tuple(subset), pp, rev, False, slacks, interior)

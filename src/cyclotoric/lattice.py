@@ -13,7 +13,7 @@ The last coordinate is fixed as one range per prefix, so a slice is a
 run of fibers: the points that share all but the last coordinate, which
 step along it by the last Hermite pivot (1 for the full lattice).  Each
 slice is a `Slice` that holds only those fibers, as (head, first, last):
-the normality scan reads the fibers, the counts read its length, and
+the normality scan reads the fibers, the counts read its `count`, and
 only iterating a slice builds its points.
 
 A budget caps the nodes a scan visits, counted while it runs: a scan
@@ -74,7 +74,7 @@ def resolve_budget(budget: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Slice:
-    """One degree slice as its fibers; its length and iteration give the points.
+    """One degree slice as its fibers; its count and iteration give the points.
 
     `fibers` holds one (head, first, last) per run of points that share
     the head, all coordinates but the last, in lex order of the heads:
@@ -86,8 +86,12 @@ class Slice:
     step: int
     nodes: int = field(default=0, compare=False)
 
-    def __len__(self) -> int:
+    def count(self) -> int:
+        """The number of points as an int of any size; len() overflows past sys.maxsize."""
         return sum((last - first) // self.step + 1 for _, first, last in self.fibers)
+
+    def __len__(self) -> int:
+        return self.count()
 
     def __iter__(self):
         for head, first, last in self.fibers:
@@ -293,7 +297,7 @@ def enumerate_points(
 
 
 def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:
-    return len(enumerate_points(p, k, True, budget=budget))
+    return enumerate_points(p, k, True, budget=budget).count()
 
 
 @dataclass(frozen=True)
@@ -344,7 +348,7 @@ def h_star(p: CycloParams, *, budget: int | None = None) -> HStarVector:
     """
     d = p.d
     m = (d + 1) // 2
-    full = [len(enumerate_points(p, k, budget=budget)) for k in range(m + 1)]
+    full = [enumerate_points(p, k, budget=budget).count() for k in range(m + 1)]
     inner = [0] + [interior_count(p, k, budget=budget) for k in range(1, d - m + 1)]
 
     def binomial(counts, j):

@@ -17,9 +17,15 @@ from itertools import combinations, product
 from math import comb
 
 from cyclotoric.core import build_params, moment_matrix
-from cyclotoric.divdiff import bvec, facet_lattice_index, r1_witness, support_form
+from cyclotoric.divdiff import (
+    bvec,
+    facet_chain_basis,
+    facet_lattice_index,
+    r1_witness,
+    support_form,
+)
 from cyclotoric.faces import facet_hyperplane, facets
-from cyclotoric.intlinalg import det, dot, mat_vec
+from cyclotoric.intlinalg import dot, mat_vec
 from cyclotoric.kp import (
     classify_kp,
     gorenstein_oracle,
@@ -30,6 +36,7 @@ from cyclotoric.kq import divisibility_test, is_normal_kq_bruteforce, kernel_bin
 from cyclotoric.lattice import enumerate_points
 
 from _oracles import (
+    bareiss_det,
     basis_matrix,
     brute_facets,
     bvec_recursion_check,
@@ -70,7 +77,7 @@ def test_criterion_01_divided_difference_suite():
                 a, b = rng.sample(s, 2)
                 assert bvec_recursion_check(s, a, b, p)
             idx = rng.sample(range(1, n + 1), d + 1)
-            assert abs(det(basis_matrix(idx, p))) == 1
+            assert abs(bareiss_det(basis_matrix(idx, p))) == 1
 
 
 def test_criterion_02_facet_oracle_equivalence():
@@ -89,7 +96,9 @@ def test_criterion_03_codimension_one_witnesses():
             p = build_params(d, tau)
             hps = [facet_hyperplane(w, p) for w in facets(p)]
             for w in facets(p):
-                assert facet_lattice_index(w, p) == 1, (d, tau, w)
+                minor = [v[:-1] for v in facet_chain_basis(w, p)]
+                # the Hermite pivots and a Bareiss elimination: two routes to one index
+                assert facet_lattice_index(w, p) == abs(bareiss_det(minor)) == 1, (d, tau, w)
                 sf = support_form(w, p)
                 for k in range(1, p.n + 1):
                     if k in w:

@@ -59,6 +59,16 @@ def test_classify_validation_error():
     assert "tau must be strictly increasing" in res.stderr
 
 
+def test_slices_past_sys_maxsize_points_are_counted():
+    # len() of a slice overflows past sys.maxsize points; the counts must not
+    res = run_cli("classify", "--d", "1", "--tau", "0,99999999999999999999")
+    assert res.returncode == 0, res.stderr
+    assert "h_star=[1, 99999999999999999998]" in res.stdout
+    res = run_cli("hstar", "--d", "1", "--tau", "0,9223372036854775808")
+    assert res.returncode == 0, res.stderr
+    assert "h* = [1, 9223372036854775807]" in res.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [

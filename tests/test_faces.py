@@ -12,7 +12,7 @@ from cyclotoric.core import (
     CycloParams,
     InvalidParameters,
     build_params,
-    inverse_transform_factor,
+    to_moment,
     transform,
     vertex,
 )
@@ -21,7 +21,7 @@ from cyclotoric.intlinalg import dot, mat_mul, primitive, vector_gcd
 from cyclotoric.kp import NoWitnessExpected, gorenstein_witnesses
 from cyclotoric.lattice import Instance
 
-from _oracles import brute_facets, gap_family, minors_normal, nonface_partitions
+from _oracles import brute_facets, gap_family, identity, minors_normal, nonface_partitions
 from _strategies import cyclo_params
 
 
@@ -132,8 +132,10 @@ class TestSimplexHalfspaces:
 
     @staticmethod
     def halfspaces(p):
-        # a transformed point z has moment coordinates L.z, so a.L is the normal
-        return mat_mul(facet_normals(p), inverse_transform_factor(p))[::-1]
+        # a transformed point z has moment coordinates L.z, so a.L is the normal;
+        # column j of L is the moment image of the unit vector e_j
+        cols = [to_moment(p, e) for e in identity(p.d + 1)]
+        return mat_mul(facet_normals(p), tuple(zip(*cols)))[::-1]
 
     def test_dimension_two_exact(self):
         # homogeneous: the bound 3*x0 >= 3*x1 - x2 has its right-hand side in x0
