@@ -13,9 +13,9 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 from .intlinalg import dot, mat_mul
 
@@ -24,22 +24,22 @@ class InvalidParameters(ValueError):
     """Raised when inputs do not describe an integral cyclic polytope."""
 
 
-@dataclass(frozen=True)
-class CycloParams:
-    """Dimension and moment-curve parameters; everything else derives from these."""
+class CycloParams(NamedTuple("CycloParams", [("d", int), ("tau", tuple[int, ...])])):
+    """Dimension and moment-curve parameters; everything else derives from these.
 
-    d: int
-    tau: tuple[int, ...]
+    Construction checks them, and so does unpickling, which constructs anew.
+    """
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    __slots__ = ()
+
+    def __new__(cls, d: int, tau: tuple[int, ...]):
+        if d < 1:
             raise InvalidParameters("d must be at least 1")
-        if any(b <= a for a, b in zip(self.tau, self.tau[1:])):
+        if any(b <= a for a, b in zip(tau, tau[1:])):
             raise InvalidParameters("tau must be strictly increasing")
-        if len(self.tau) < self.d + 1:
-            raise InvalidParameters(
-                f"need at least d+1 = {self.d + 1} parameters, got {len(self.tau)}"
-            )
+        if len(tau) < d + 1:
+            raise InvalidParameters(f"need at least d+1 = {d + 1} parameters, got {len(tau)}")
+        return super().__new__(cls, d, tau)
 
     @property
     def n(self) -> int:
@@ -76,8 +76,7 @@ def delta_tilde(p: CycloParams, i: int, j: int) -> int:
     return prod(p.tau[j - 1] - t for t in p.tau[:i])
 
 
-@dataclass(frozen=True)
-class TransformedMatrix:
+class TransformedMatrix(NamedTuple):
     """Triangularised vertex matrix plus the row-operation matrix producing it.
 
     entries[r][j] is the product of (tau_{j+1} - tau_k) over k = 1..r

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .core import CycloParams, InvalidParameters, root_polynomial
+from .core import CycloParams, InvalidParameters, root_polynomial, vertex
 from .faces import facet_hyperplane
 from .intlinalg import dot, hnf, vec_add, vec_sub
 
@@ -141,17 +141,20 @@ def r1_witness(w, k: int, p: CycloParams) -> tuple[int, ...]:
 def cone_coefficients(x, indices, p: CycloParams) -> tuple[Fraction, ...]:
     """Exact coordinates of x over d+1 distinct vertex columns, in the order given.
 
-    The root polynomial q_i of the other chosen parameters vanishes on
-    every chosen vertex but v_i, where it takes the value
-    prod (tau_i - tau_j), so the coordinate on v_i is dot(q_i, x) over
-    that product: a Lagrange ratio, with no linear solve.
+    q_i, the root polynomial of all chosen parameters divided by
+    (t - tau_i), vanishes on every chosen vertex but v_i, where it takes
+    the value prod (tau_i - tau_j), so the coordinate on v_i is
+    dot(q_i, x) over that product: a Lagrange ratio, with no linear solve.
     """
     idx = tuple(indices)
     if not len(idx) == len(_check_index_set(idx, p)) == p.d + 1:
         raise InvalidParameters(f"expected d+1 = {p.d + 1} distinct indices")
+    whole = root_polynomial(p.tau[i - 1] for i in idx)
     out = []
     for i in idx:
-        rest = [p.tau[j - 1] for j in idx if j != i]
-        t = p.tau[i - 1]
-        out.append(Fraction(dot(root_polynomial(rest), x), prod(t - r for r in rest)))
+        t, q = p.tau[i - 1], [1]  # q_i by synthetic division, leading coefficient first
+        for c in whole[-2:0:-1]:
+            q.append(c + t * q[-1])
+        q.reverse()
+        out.append(Fraction(dot(q, x), dot(q, vertex(p, i))))
     return tuple(out)

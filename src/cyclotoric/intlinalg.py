@@ -1,10 +1,10 @@
-"""Small exact linear algebra over Z and Q: dot products, Hermite form, one rational solve.
+"""Small exact linear algebra over Z: dot products, Hermite form, one exact solve.
 
-The Hermite form is the package's one integer elimination: it gives the
-vertex lattice its basis, and the product of its pivots is the index of
-a lattice of full rank.  Everything works on plain Python ints
-(arbitrary precision) or fractions.Fraction and never touches floating
-point.  Matrices are small and dense, so simple cubic algorithms win.
+The Hermite form gives the vertex lattice its basis, and the product of
+its pivots is the index of a lattice of full rank.  Everything works on
+plain Python ints (arbitrary precision), and only the solve's results
+are fractions.Fraction; nothing touches floating point.  Matrices are
+small and dense, so simple cubic algorithms win.
 """
 
 from __future__ import annotations
@@ -56,16 +56,17 @@ def mat_mul(a, b):
 
 
 def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
-    """Solve a full-column-rank rational system exactly.
+    """Solve a full-column-rank integer system exactly.
 
-    `rows` is an m x n matrix (ints or Fractions) with m >= n and column
-    rank n.  Returns the unique solution, or None when the system is
-    inconsistent.  A rank-deficient coefficient matrix raises, since no
-    call site should produce one.
+    `rows` is an m x n integer matrix with m >= n and column rank n.
+    Returns the unique solution, or None when the system is inconsistent.
+    Rows are combined in integers, each divided by its content, and only
+    the solution's quotients are Fractions.  A rank-deficient coefficient
+    matrix raises, since no call site should produce one.
     """
     m = len(rows)
     n = len(rows[0])
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs, strict=True)]
+    a = [list(row) + [y] for row, y in zip(rows, rhs, strict=True)]
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, m) if a[i][col]), None)
@@ -73,18 +74,17 @@ def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         pv = a[rank][col]
-        a[rank] = [x / pv for x in a[rank]]
         for i in range(m):
             if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+                row = [pv * x - a[i][col] * y for x, y in zip(a[i], a[rank])]
+                a[i] = primitive(row) if any(row) else row
         rank += 1
     if rank < n:
         raise ValueError("coefficient matrix is column-rank deficient")
     for i in range(rank, m):
         if a[i][n]:
             return None
-    return tuple(a[i][n] for i in range(n))
+    return tuple(Fraction(a[i][n], a[i][i]) for i in range(n))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

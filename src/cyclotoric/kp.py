@@ -16,7 +16,7 @@ are compared and any disagreement is reported as data, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CycloParams, InvalidParameters, delta, reverse_negate, to_moment
 from .divdiff import (
@@ -173,8 +173,7 @@ def interior_generator_candidate(p: CycloParams) -> tuple[int, ...] | None:
     return tuple(int(x) for x in sol)
 
 
-@dataclass(frozen=True)
-class GorensteinOracle:
+class GorensteinOracle(NamedTuple):
     status: str  # "gorenstein" | "not_gorenstein"
     generator: tuple[int, ...] | None
     h_star_palindromic: bool | None
@@ -216,8 +215,7 @@ class NoWitnessExpected(ValueError):
     """The instance is in the Gorenstein family, so no interior pair exists."""
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Two interior points of a designated sub-simplex, with their slack evidence.
 
     Points live in the transformed coordinates of params_used (degree 1).
@@ -334,8 +332,7 @@ def gorenstein_witnesses(p: CycloParams) -> WitnessReport:
     return _verified_report(sub, pts, subset, False)
 
 
-@dataclass(frozen=True)
-class RingReportKP:
+class RingReportKP(NamedTuple):
     normal: bool | None  # None: a lowered max_degree found no gap
     nonnormal_witness: tuple[int, ...] | None
     cohen_macaulay: bool | None

@@ -11,9 +11,9 @@ can within budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 from .core import CycloParams, InvalidParameters, delta_tilde, moment_matrix
 from .intlinalg import lattice_contains, mat_vec, primitive
@@ -21,8 +21,7 @@ from .kp import first_gap, normality_bound
 from .lattice import BudgetExceeded, instance
 
 
-@dataclass(frozen=True)
-class GeneratorLattice:
+class GeneratorLattice(NamedTuple):
     """Hermite basis of the lattice spanned by the vertex columns."""
 
     hnf_basis: tuple[tuple[int, ...], ...]
@@ -37,8 +36,7 @@ def generator_lattice(p: CycloParams) -> GeneratorLattice:
     return GeneratorLattice(basis, prod(row[i] for i, row in enumerate(basis)))
 
 
-@dataclass(frozen=True)
-class KernelBinomial:
+class KernelBinomial(NamedTuple):
     """Primitive sign-normalised relation vector among the vertex columns.
 
     c has positive entries exactly on the odd indices and negative on the
@@ -162,8 +160,7 @@ def is_normal_kq_bruteforce(
     return ("normal", None) if witness is None else ("not_normal", witness)
 
 
-@dataclass(frozen=True)
-class RingReportKQ:
+class RingReportKQ(NamedTuple):
     case: str  # simplex_regular | curve_d1 | principal_d2 | general
     normal: str  # yes | no | unknown
     complete_intersection: bool

@@ -37,10 +37,10 @@ parameters alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, prod
+from typing import NamedTuple
 
 from .core import CycloParams, InvalidParameters, vertex
 from .faces import facet_normals, facets
@@ -72,19 +72,22 @@ def resolve_budget(budget: int | None = None) -> int:
     return cap
 
 
-@dataclass(frozen=True)
 class Slice:
     """One degree slice as its fibers; its count and iteration give the points.
 
     `fibers` holds one (head, first, last) per run of points that share
     the head, all coordinates but the last, in lex order of the heads:
     the run is head + (x,) for x = first, first + step, ..., last.
-    `nodes` is the number of scan nodes that built it.
+    `nodes` is the number of scan nodes that built it; equality ignores it.
     """
 
-    fibers: tuple[tuple[tuple[int, ...], int, int], ...]
-    step: int
-    nodes: int = field(default=0, compare=False)
+    __slots__ = ("fibers", "step", "nodes")
+
+    def __init__(self, fibers, step: int, nodes: int = 0) -> None:
+        self.fibers, self.step, self.nodes = fibers, step, nodes
+
+    def __eq__(self, other):
+        return type(other) is Slice and (self.fibers, self.step) == (other.fibers, other.step)
 
     def count(self) -> int:
         """The number of points as an int of any size; len() overflows past sys.maxsize."""
@@ -109,7 +112,6 @@ def _refusal(vertices, k: int, cap: int) -> BudgetExceeded:
     )
 
 
-@dataclass(frozen=True)
 class Instance:
     """The scan data of one instance, each part built on first use, and a slice memo.
 
@@ -118,8 +120,9 @@ class Instance:
     so one the cache drops is freed at once.
     """
 
-    p: CycloParams
-    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, p: CycloParams) -> None:
+        self.p = p
+        self._slices = {}
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -300,8 +303,7 @@ def interior_count(p: CycloParams, k: int, *, budget: int | None = None) -> int:
     return enumerate_points(p, k, True, budget=budget).count()
 
 
-@dataclass(frozen=True)
-class HStarVector:
+class HStarVector(NamedTuple):
     """Numerator coefficients of the lattice-point generating series."""
 
     h: tuple[int, ...]

@@ -15,16 +15,20 @@ the facet-sign cone test, the memoised membership search, the two
 cone-probe normality scans that production's degree-below lookup
 replaced, and that lookup point by point, which the fiber scan
 (`kp.first_gap`) replaced.  The counts and the last four read an
-instance context, as production does.
+instance context, as production does.  Last come the two formulas
+production replaced by cheaper ones: Gauss-Jordan elimination over
+Fraction (`intlinalg.solve_exact` eliminates in integers) and one root
+polynomial per cone coefficient (`divdiff.cone_coefficients` divides one
+polynomial of all the parameters).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 
-from cyclotoric.core import CycloParams, InvalidParameters, delta_tilde, vertex
+from cyclotoric.core import CycloParams, InvalidParameters, delta_tilde, root_polynomial, vertex
 from cyclotoric.divdiff import _check_index_set, bvec
 from cyclotoric.intlinalg import dot, primitive, vec_sub
 from cyclotoric.kp import r1_issues
@@ -393,3 +397,41 @@ def pointwise_first_gap(
 
 def verify_r1(p: CycloParams) -> bool:
     return not r1_issues(p)
+
+
+def fraction_solve(rows, rhs) -> tuple[Fraction, ...] | None:
+    """Gauss-Jordan elimination over Fraction: the unique solution of a
+    full-column-rank system, or None when it is inconsistent; a
+    column-rank-deficient matrix raises ValueError."""
+    m = len(rows)
+    n = len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs, strict=True)]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pv = a[rank][col]
+        a[rank] = [x / pv for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    if rank < n:
+        raise ValueError("coefficient matrix is column-rank deficient")
+    if any(a[i][n] for i in range(rank, m)):
+        return None
+    return tuple(a[i][n] for i in range(n))
+
+
+def lagrange_coefficients(x, indices, p: CycloParams) -> tuple[Fraction, ...]:
+    """Coordinates of x over the vertex columns of `indices`, one root
+    polynomial of the other chosen parameters per coordinate."""
+    out = []
+    for i in indices:
+        rest = [p.tau[j - 1] for j in indices if j != i]
+        t = p.tau[i - 1]
+        out.append(Fraction(dot(root_polynomial(rest), x), prod(t - r for r in rest)))
+    return tuple(out)

@@ -29,6 +29,14 @@ def run_cli(*args, env=None):
     )
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # records are NamedTuples or plain classes, so starting a command generates no code
+    code = "import sys, cyclotoric.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_classify_kp_json():
     res = run_cli(
         "classify", "--d", "2", "--tau", "0,1,3", "--ring", "kp", "--oracle", "--json"

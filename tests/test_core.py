@@ -1,9 +1,12 @@
 """Parameter validation, exact matrices, and the unimodular normal forms."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
 from cyclotoric.core import (
+    CycloParams,
     InvalidParameters,
     build_params,
     canonical_form,
@@ -38,6 +41,29 @@ class TestBuildParams:
     def test_nonpositive_dimension(self):
         with pytest.raises(InvalidParameters, match="at least 1"):
             build_params(0, [0, 1])
+
+    @pytest.mark.parametrize(
+        "d,tau,match",
+        [(0, (0, 1), "at least 1"), (2, (0, 0, 3), "strictly increasing"), (3, (0, 1, 2), "d\\+1")],
+    )
+    def test_each_check_runs_at_construction(self, d, tau, match):
+        with pytest.raises(InvalidParameters, match=match):
+            CycloParams(d, tau)
+        with pytest.raises(InvalidParameters, match=match):
+            CycloParams(d=d, tau=tau)
+
+    @given(cyclo_params())
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_round_trip(self, p):
+        q = pickle.loads(pickle.dumps(p))
+        assert type(q) is CycloParams
+        assert q == p and hash(q) == hash(p)
+
+    def test_unpickling_runs_the_checks(self):
+        # a tuple forged past __new__ pickles, but cannot be loaded back
+        forged = tuple.__new__(CycloParams, (2, (0, 0, 3)))
+        with pytest.raises(InvalidParameters, match="strictly increasing"):
+            pickle.loads(pickle.dumps(forged))
 
 
 class TestMomentMatrix:

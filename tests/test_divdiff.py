@@ -19,7 +19,13 @@ from cyclotoric.divdiff import (
 from cyclotoric.faces import NotAFacet, facet_hyperplane, facets
 from cyclotoric.intlinalg import dot, vec_add
 
-from _oracles import bareiss_det, basis_matrix, bvec_alternating, bvec_recursion_check
+from _oracles import (
+    bareiss_det,
+    basis_matrix,
+    bvec_alternating,
+    bvec_recursion_check,
+    lagrange_coefficients,
+)
 from _strategies import cyclo_params, params_with_subset
 
 
@@ -269,3 +275,18 @@ class TestConeCoefficients:
         for idx in ((1, 2), (0, 1, 2), (1, 1, 2), (1, 2, 4)):
             with pytest.raises(InvalidParameters):
                 cone_coefficients((1, 1, 2), idx, p)
+
+    @given(
+        cyclo_params(max_d=5, max_n=8, max_gap=5).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.permutations(range(1, p.n + 1)),
+                st.lists(st.integers(-50, 50), min_size=p.d + 1, max_size=p.d + 1),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_root_polynomial_per_coefficient(self, draw):
+        p, order, x = draw
+        idx = order[: p.d + 1]  # any d+1 indices, in any order
+        assert cone_coefficients(x, idx, p) == lagrange_coefficients(x, idx, p)

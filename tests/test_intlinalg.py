@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclotoric.intlinalg import (
@@ -19,7 +19,7 @@ from cyclotoric.intlinalg import (
     xgcd,
 )
 
-from _oracles import nullspace
+from _oracles import fraction_solve, nullspace
 
 small_int = st.integers(-30, 30)
 
@@ -112,6 +112,40 @@ class TestSolveExact:
     def test_rank_deficient_raises(self):
         with pytest.raises(ValueError):
             solve_exact([[1, 1], [2, 2]], [1, 2])
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.integers(n, n + 2).flatmap(
+                    lambda m: st.lists(
+                        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                        min_size=m,
+                        max_size=m,
+                    )
+                ),
+                st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                st.lists(st.integers(-3, 3), min_size=n + 2, max_size=n + 2),
+                st.booleans(),
+            )
+        )
+    )
+    @example(([[1, 1], [2, 2]], [0, 0], [1, 2, 0, 0], False))  # rank deficient
+    @example(([[1, 0], [1, 0], [0, 1]], [0, 0], [1, 2, 0, 0], False))  # inconsistent
+    @example(([[2, 3], [4, -1], [6, 2]], [1, -2], [0, 0, 0, 0], True))  # consistent, m > n
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_elimination(self, system):
+        # rhs is rows . c (consistent) or a free draw (often inconsistent when m > n)
+        rows, c, free, consistent = system
+        rhs = [dot(row, c) for row in rows] if consistent else free[: len(rows)]
+        try:
+            expected = fraction_solve(rows, rhs)
+        except ValueError:
+            with pytest.raises(ValueError, match="rank deficient"):
+                solve_exact(rows, rhs)
+            return
+        assert solve_exact(rows, rhs) == expected
+        if consistent:
+            assert expected == tuple(map(Fraction, c))
 
 
 class TestNullspace:

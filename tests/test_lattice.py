@@ -1,5 +1,6 @@
 """Exact enumeration, dilation counts, and the generating-series numerator."""
 
+import json
 from collections import Counter
 from math import comb, prod
 
@@ -16,6 +17,7 @@ from cyclotoric.lattice import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
     HStarVector,
+    Slice,
     enumerate_points,
     h_star,
     interior_count,
@@ -407,6 +409,22 @@ class TestBudget:
         monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
         with pytest.raises(InvalidParameters, match=BUDGET_ENV_VAR):
             resolve_budget()
+
+
+class TestSlice:
+    def test_equality_ignores_nodes(self):
+        fibers = (((1, 0), 0, 2), ((1, 1), 1, 1))
+        assert Slice(fibers, 1, 5) == Slice(fibers, 1, 9) == Slice(fibers, 1)
+        assert Slice(fibers, 1) != Slice(fibers, 2)
+        assert Slice(fibers, 1) != Slice(fibers[:1], 1)
+        assert Slice(fibers, 1) != fibers
+
+    def test_length_iteration_and_json_give_points(self):
+        s = Slice((((1, 0), 0, 2), ((1, 1), 1, 1)), 2, 7)
+        assert not isinstance(s, tuple)
+        assert len(s) == s.count() == 3
+        assert list(s) == [(1, 0, 0), (1, 0, 2), (1, 1, 1)]
+        assert json.dumps(s, default=list) == "[[1, 0, 0], [1, 0, 2], [1, 1, 1]]"
 
 
 class TestInstance:
